@@ -249,7 +249,7 @@ def _cmd_stirling_scan(args) -> int:
     return 0 if ok else _CHECK_FAILED
 
 
-def _add_output(sub, json_default=False):
+def _add_output(sub):
     sub.add_argument("--output", help="write a JSON report to this path")
     sub.add_argument(
         "--print-json", action="store_true", help="print the JSON report to stdout"

@@ -307,7 +307,6 @@ def build_gamma(n: int, cfg: BuildConfig | None = None) -> SuperDag:
     complete bipartite base block.
     """
     cfg = cfg if cfg is not None else BuildConfig()
-    cfg.delta = as_fraction(cfg.delta)
     _validate_size(n, cfg.base_size)
     dag = SuperDag()
     X = [dag.add_node("input", 0, ("X", i)) for i in range(1, n + 1)]
@@ -335,13 +334,14 @@ def _build_level(dag: SuperDag, cfg: BuildConfig, ins: list[int], outs: list[int
     gx, info_x = _level_expander(cfg, n, level, "x")
     gy, info_y = _level_expander(cfg, n, level, "y")
 
-    for i in range(1, n + 1):
-        for j in gx.adjacency[i - 1]:
-            dag.add_edge(ins[i - 1], xp[j - 1])
+    # each property read decodes all n bitmasks, so read it once per graph
+    for u, nbrs in zip(ins, gx.adjacency):
+        for j in nbrs:
+            dag.add_edge(u, xp[j - 1])
     # reverse copy: edge (i, j) of the sampled graph becomes y'_j -> y_i
-    for i in range(1, n + 1):
-        for j in gy.adjacency[i - 1]:
-            dag.add_edge(yp[j - 1], outs[i - 1])
+    for v, nbrs in zip(outs, gy.adjacency):
+        for j in nbrs:
+            dag.add_edge(yp[j - 1], v)
     for i in range(1, half + 1):
         dag.add_edge(xp[i + half - 1], yp[i - 1])
         dag.add_edge(xp[i + half - 1], xp[i - 1])

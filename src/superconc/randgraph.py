@@ -79,11 +79,10 @@ def derive_seed(*parts) -> int:
 
 
 def _permutation(rng: random.Random, n: int) -> list[int]:
-    """Uniform permutation of 1..n via Fisher-Yates on the given stream."""
+    """Uniform permutation of 1..n: ``shuffle`` is Fisher-Yates drawing
+    ``randbelow(i + 1)`` for i = n-1 .. 1, so the stream fixes the result."""
     arr = list(range(1, n + 1))
-    for i in range(n - 1, 0, -1):
-        j = rng.randrange(i + 1)
-        arr[i], arr[j] = arr[j], arr[i]
+    rng.shuffle(arr)
     return arr
 
 

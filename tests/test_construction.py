@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -15,7 +16,7 @@ from superconc.construction import (
     verify_superconcentrator,
 )
 from superconc.profiles import PiecewiseLinear
-from superconc.randgraph import EnumerationBudgetError, complete_bipartite
+from superconc.randgraph import BipartiteGraph, EnumerationBudgetError, complete_bipartite, sample_g
 
 
 def _cfg(base=20, seed=7, **kw):
@@ -301,3 +302,42 @@ def test_dot_export_mentions_every_node():
     dot = dag.to_dot()
     assert dot.count("->") == dag.edge_count()
     assert "rank=same" in dot
+
+
+# --- determinism and cost of the build ---------------------------------------
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_golden_build_and_sample_are_byte_identical():
+    # pins the seeded RNG stream: any change to permutation drawing or
+    # assembly order that alters a sampled graph or the JSON shows here
+    dag = build_gamma(160, BuildConfig(seed=0))
+    assert _sha256(dag.to_json()) == "2a34033f9ed43c7b385c0dd8b10961ca905b7c3054f624b6d3fadfeb696556fe"
+    g = sample_g(400, 5, Fraction(13, 40), 7, disjoint=True)
+    assert _sha256(repr(g.masks)) == "0189df676ed88e73924369a4428c16de158ae0be30cf9f0c9618e8d17249bffa"
+
+
+def test_build_decodes_each_expander_once(monkeypatch):
+    decoded = []
+    fget = BipartiteGraph.adjacency.fget
+
+    def counting(self):
+        decoded.append(self)
+        return fget(self)
+
+    monkeypatch.setattr(BipartiteGraph, "adjacency", property(counting))
+    dag = build_gamma(640, BuildConfig(seed=0))
+    levels = sum(1 for r in dag.level_records if r["kind"] == "expander")
+    assert levels == 5
+    assert len(decoded) <= 2 * levels
+    assert len({id(g) for g in decoded}) == len(decoded)
+
+
+def test_build_leaves_caller_config_unchanged():
+    cfg = _cfg(delta=0.325)
+    dag = build_gamma(40, cfg)
+    assert type(cfg.delta) is float and cfg.delta == 0.325
+    assert dag.to_json() == build_gamma(40, _cfg(delta=Fraction(13, 40))).to_json()
