@@ -19,13 +19,11 @@ Submodules:
 
 from .certifier import (
     CertReport,
-    Cell,
     DegreeCheck,
     RatioCheckReport,
     certify_expansion_inequality,
     certify_pair_inequality,
     check_pairexp_degree,
-    corner_points,
     direct_check_ratio,
 )
 from .construction import (

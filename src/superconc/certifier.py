@@ -13,18 +13,24 @@ extreme point, so checking the corner points certifies the whole cell.
 Enclosures of the V expressions are interval images of the cell, truncated to
 [0, 1].  The slack recorded for a cell is the minimum over its corners of
 strengthened LHS minus strengthened RHS; certification requires every slack
-to clear the margin.  An optional high-precision pass recomputes, with 60
-extra mantissa bits, every cell whose double-precision slack lands within ten
-times the margin.
+to clear the margin.
+
+Each inequality and the corner rule are written once against a number
+backend: float64 over one x-cell and a numpy row of y-cells, or mpmath over
+one cell.  The optional recheck (``confirm``) re-evaluates at 113 bits exactly
+the scanned float64 cells whose slack is below ten times the margin, with the
+scan's float64 cell endpoints converted exactly to mpf.
 """
 
 from __future__ import annotations
 
+import contextlib
+import csv
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -39,8 +45,6 @@ from .profiles import (
 )
 
 __all__ = [
-    "Cell",
-    "corner_points",
     "CertReport",
     "certify_pair_inequality",
     "certify_expansion_inequality",
@@ -50,54 +54,9 @@ __all__ = [
     "check_pairexp_degree",
 ]
 
-LN2 = math.log(2.0)
 _FAIL_CAP = 10_000
-_NEAR_CAP = 200_000
-_EXTRA_BITS = 60
-
-
-@dataclass(frozen=True)
-class Cell:
-    """One grid cell: an x-interval times a y-interval."""
-
-    x_min: float
-    x_max: float
-    y_min: float
-    y_max: float
-
-    def __post_init__(self):
-        if self.x_min > self.x_max or self.y_min > self.y_max:
-            raise ValueError(f"malformed cell {self}")
-
-
-def corner_points(cell: Cell, gamma: float = 1.0) -> list:
-    """Extreme points of the cell rectangle intersected with y <= gamma*x.
-
-    Only gamma = 1 is supported; the corner geometry has not been worked out
-    for other values.  An infeasible cell (y_min > x_max) returns no points.
-    The feasible part of the y-range is capped at x_max, and when the diagonal
-    crosses the left edge the vertex (x_min, x_min) joins the usual four
-    corner candidates; without it the corner minimum would not dominate the
-    whole polygon.
-    """
-    if gamma != 1.0:
-        raise ValueError("only gamma = 1 is supported")
-    if cell.y_min > cell.x_max:
-        return []
-    y_hi = min(cell.y_max, cell.x_max)
-    pts = [
-        (max(cell.x_min, cell.y_min), cell.y_min),
-        (cell.x_max, cell.y_min),
-        (max(cell.x_min, y_hi), y_hi),
-        (cell.x_max, y_hi),
-    ]
-    if cell.y_min < cell.x_min < y_hi:
-        pts.append((cell.x_min, cell.x_min))
-    out = []
-    for p in pts:
-        if p not in out:
-            out.append(p)
-    return out
+_NEAR_CAP = 200_000  # per x-interval
+_RECHECK_BITS = 113
 
 
 @dataclass
@@ -143,121 +102,21 @@ class CertReport:
         return out
 
 
-def _corner_slacks(A, B, C, x_min, x_max, y_min, y_max):
-    """Minimum of A + B*x + C*y over the corner points of each cell, vectorized
-    over the y-cells of one x-cell.  Returns (per-cell minima, corner count)."""
-    y_hi = np.minimum(y_max, x_max)
-    s1 = A + B * np.maximum(x_min, y_min) + C * y_min
-    s2 = A + B * x_max + C * y_min
-    s3 = A + B * np.maximum(x_min, y_hi) + C * y_hi
-    s4 = A + B * x_max + C * y_hi
-    sl = np.minimum(np.minimum(s1, s2), np.minimum(s3, s4))
-    corners = 4 * len(y_min)
-    extra = (y_min < x_min) & (x_min < y_hi)
-    n_extra = int(np.count_nonzero(extra))
-    if n_extra:
-        s5 = A + B * x_min + C * x_min
-        sl = np.where(extra, np.minimum(sl, s5), sl)
-        corners += n_extra
-    return sl, corners
+# float64 backend: x quantities are floats, y quantities numpy rows.  chord and
+# tangent look up the module-level names at each call, so a wrapper installed
+# on them (as the benchmark tracer does) sees every call.
+_F64 = SimpleNamespace(
+    chord=lambda lo, hi: chord_coefficients(lo, hi),
+    tangent=lambda lo, hi: tangent_coefficients(lo, hi),
+    clip=lambda v: np.clip(v, 0.0, 1.0),
+    minimum=np.minimum,
+    maximum=np.maximum,
+    where=np.where,
+    log=math.log,
+)
 
 
-def _pair_row(i, xs, delta, p, grid_n):
-    """Per-cell corner-minimum slacks for one x-cell of the pair inequality."""
-    x_min, x_max = float(xs[i]), float(xs[i + 1])
-    ys = np.linspace(0.0, min(x_max, delta), grid_n + 1)
-    y_min, y_max = ys[:-1], ys[1:]
-
-    c1a, c1b = chord_coefficients(x_min, x_max)          # H(x), lower
-    c2a, c2b = chord_coefficients(y_min, y_max)          # H(y), lower
-    t3a, t3b = tangent_coefficients(                     # H(y/delta), upper
-        np.minimum(y_min / delta, 1.0), np.minimum(y_max / delta, 1.0)
-    )
-    t4a, t4b = tangent_coefficients(                     # H((x-y)/(1-delta)), upper
-        np.clip((x_min - y_max) / (1.0 - delta), 0.0, 1.0),
-        np.clip((x_max - y_min) / (1.0 - delta), 0.0, 1.0),
-    )
-    t5a, t5b = tangent_coefficients(                     # H(y/x), upper
-        np.clip(y_min / x_max, 0.0, 1.0), np.clip(y_max / x_min, 0.0, 1.0)
-    )
-    # strengthened LHS - RHS = A + B*x + C*y
-    A = (1.0 - p) * c1a + c2a - delta * t3a - (1.0 - delta) * t4a
-    B = (1.0 - p) * c1b + 2.0 * p * LN2 - t4b - t5a
-    C = c2b - t3b + t4b - t5b
-    return _corner_slacks(A, B, C, x_min, x_max, y_min, y_max)
-
-
-def _expansion_row(i, xs, delta, boost, ea, eb, grid_n):
-    """Per-cell corner-minimum slacks for one x-cell of the expansion
-    inequality, with e(x) = ea + eb*x affine on the whole x-interval."""
-    x_min, x_max = float(xs[i]), float(xs[i + 1])
-    e_min = ea + eb * x_min
-    e_max = ea + eb * x_max
-    ys = np.linspace(0.0, min(x_max, delta), grid_n + 1)
-    y_min, y_max = ys[:-1], ys[1:]
-
-    c1a, c1b = chord_coefficients(x_min, x_max)          # H(x), lower
-    r0, r1 = x_min / e_min, x_max / e_max                # x/e(x) is monotone on the cell
-    c2a, c2b = chord_coefficients(min(r0, r1), max(r0, r1))
-    c3a, c3b = chord_coefficients(y_min, y_max)          # H(y), lower
-    t4a, t4b = tangent_coefficients(                     # H(y/delta), upper
-        np.minimum(y_min / delta, 1.0), np.minimum(y_max / delta, 1.0)
-    )
-    t5a, t5b = tangent_coefficients(                     # H((x-y)/(1-delta)), upper
-        np.clip((x_min - y_max) / (1.0 - delta), 0.0, 1.0),
-        np.clip((x_max - y_min) / (1.0 - delta), 0.0, 1.0),
-    )
-    t6a, t6b = tangent_coefficients(                     # H(y/e(x)), upper
-        np.clip(y_min / e_max, 0.0, 1.0), np.clip(y_max / e_min, 0.0, 1.0)
-    )
-    A = (1.0 - boost) * c1a + boost * c2a * ea + c3a - delta * t4a - (1.0 - delta) * t5a - t6a * ea
-    B = (1.0 - boost) * c1b + boost * (c2a * eb + c2b) - t5b - t6a * eb
-    C = c3b - t4b + t5b - t6b
-    return _corner_slacks(A, B, C, x_min, x_max, y_min, y_max)
-
-
-def _scan_interval(row_fn, grid_n, margin, threads, slack_rows=None):
-    """Run row_fn over all x-cells and fold the per-cell slacks.
-
-    The fold happens in row order regardless of how many worker threads
-    computed the rows, so the outcome is schedule independent.
-    """
-    near_cut = 10.0 * margin
-    min_slack = math.inf
-    argmin = None
-    corners = 0
-    failing = []
-    fail_count = 0
-    near = []
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = pool.map(row_fn, range(grid_n))
-            rows = list(rows)
-    else:
-        rows = (row_fn(i) for i in range(grid_n))
-
-    for i, (sl, ncorners) in enumerate(rows):
-        corners += ncorners
-        j = int(np.argmin(sl))
-        if sl[j] < min_slack:
-            min_slack = float(sl[j])
-            argmin = (i, j)
-        bad = np.nonzero(sl < margin)[0]
-        fail_count += len(bad)
-        for j_bad in bad:
-            if len(failing) < _FAIL_CAP:
-                failing.append((i, int(j_bad), float(sl[j_bad])))
-        close = np.nonzero(sl < near_cut)[0]
-        for j_close in close:
-            if len(near) < _NEAR_CAP:
-                near.append((i, int(j_close)))
-        if slack_rows is not None:
-            slack_rows.append(sl)
-    return min_slack, argmin, corners, failing, fail_count, near
-
-
-def _hp_chord(lo, hi):
+def _mp_chord(lo, hi):
     h_lo = entropy_mp(lo)
     if hi == lo:
         return h_lo, mpmath.mpf(0)
@@ -265,7 +124,7 @@ def _hp_chord(lo, hi):
     return h_lo - slope * lo, slope
 
 
-def _hp_tangent(lo, hi):
+def _mp_tangent(lo, hi):
     m = (lo + hi) / 2
     if m <= 0 or m >= 1:
         return mpmath.mpf(0), mpmath.mpf(0)
@@ -273,94 +132,165 @@ def _hp_tangent(lo, hi):
     return entropy_mp(m) - slope * m, slope
 
 
-def _hp_clip(v):
-    return min(max(v, mpmath.mpf(0)), mpmath.mpf(1))
+# mpmath backend: every quantity is an mpf scalar at the working precision.
+_MP = SimpleNamespace(
+    chord=_mp_chord,
+    tangent=_mp_tangent,
+    clip=lambda v: min(max(v, mpmath.mpf(0)), mpmath.mpf(1)),
+    minimum=min,
+    maximum=max,
+    where=lambda cond, a, b: a if cond else b,
+    log=mpmath.log,
+)
 
 
-def _hp_pair_cell(xs_lo, xs_hi, grid_n, delta, p, i, j):
-    x_min = xs_lo + (xs_hi - xs_lo) * mpmath.mpf(i) / grid_n
-    x_max = xs_lo + (xs_hi - xs_lo) * mpmath.mpf(i + 1) / grid_n
-    y_top = min(x_max, delta)
-    y_min = y_top * mpmath.mpf(j) / grid_n
-    y_max = y_top * mpmath.mpf(j + 1) / grid_n
-    c1a, c1b = _hp_chord(x_min, x_max)
-    c2a, c2b = _hp_chord(y_min, y_max)
-    t3a, t3b = _hp_tangent(_hp_clip(y_min / delta), _hp_clip(y_max / delta))
-    t4a, t4b = _hp_tangent(
-        _hp_clip((x_min - y_max) / (1 - delta)), _hp_clip((x_max - y_min) / (1 - delta))
+def _corner_min(nb, A, B, C, x_min, x_max, y_min, y_max):
+    """Minimum of A + B*x + C*y over the extreme points of each feasible cell
+    (y_min <= x_max) clipped to y <= x, and the mask of cells whose diagonal
+    crosses the left edge, adding the vertex (x_min, x_min) to four corners."""
+    y_hi = nb.minimum(y_max, x_max)
+    s1 = A + B * nb.maximum(x_min, y_min) + C * y_min
+    s2 = A + B * x_max + C * y_min
+    s3 = A + B * nb.maximum(x_min, y_hi) + C * y_hi
+    s4 = A + B * x_max + C * y_hi
+    sl = nb.minimum(nb.minimum(s1, s2), nb.minimum(s3, s4))
+    extra = (y_min < x_min) & (x_min < y_hi)
+    if np.any(extra):
+        s5 = A + B * x_min + C * x_min
+        sl = nb.where(extra, nb.minimum(sl, s5), sl)
+    return sl, extra
+
+
+def _pair_slack(nb, x_min, x_max, y_min, y_max, delta, p):
+    """Corner-minimum slack of the strengthened pair inequality (gamma = 1)."""
+    c1a, c1b = nb.chord(x_min, x_max)                    # H(x), lower
+    c2a, c2b = nb.chord(y_min, y_max)                    # H(y), lower
+    t3a, t3b = nb.tangent(                               # H(y/delta), upper
+        nb.minimum(y_min / delta, 1), nb.minimum(y_max / delta, 1)
     )
-    t5a, t5b = _hp_tangent(_hp_clip(y_min / x_max), _hp_clip(y_max / x_min))
+    t4a, t4b = nb.tangent(                               # H((x-y)/(1-delta)), upper
+        nb.clip((x_min - y_max) / (1 - delta)), nb.clip((x_max - y_min) / (1 - delta))
+    )
+    t5a, t5b = nb.tangent(nb.clip(y_min / x_max), nb.clip(y_max / x_min))  # H(y/x), upper
+    # strengthened LHS - RHS = A + B*x + C*y
     A = (1 - p) * c1a + c2a - delta * t3a - (1 - delta) * t4a
-    B = (1 - p) * c1b + 2 * p * mpmath.log(2) - t4b - t5a
+    B = (1 - p) * c1b + 2 * p * nb.log(2) - t4b - t5a
     C = c2b - t3b + t4b - t5b
-    return _hp_corner_min(A, B, C, x_min, x_max, y_min, y_max)
+    return _corner_min(nb, A, B, C, x_min, x_max, y_min, y_max)
 
 
-def _hp_expansion_cell(xs_lo, xs_hi, grid_n, delta, boost, ea, eb, i, j):
-    x_min = xs_lo + (xs_hi - xs_lo) * mpmath.mpf(i) / grid_n
-    x_max = xs_lo + (xs_hi - xs_lo) * mpmath.mpf(i + 1) / grid_n
+def _expansion_slack(nb, x_min, x_max, y_min, y_max, delta, boost, ea, eb):
+    """Corner-minimum slack of the strengthened expansion inequality, with
+    e(x) = ea + eb*x affine on the whole x-interval."""
     e_min = ea + eb * x_min
     e_max = ea + eb * x_max
-    y_top = min(x_max, delta)
-    y_min = y_top * mpmath.mpf(j) / grid_n
-    y_max = y_top * mpmath.mpf(j + 1) / grid_n
-    c1a, c1b = _hp_chord(x_min, x_max)
-    r0, r1 = x_min / e_min, x_max / e_max
-    c2a, c2b = _hp_chord(min(r0, r1), max(r0, r1))
-    c3a, c3b = _hp_chord(y_min, y_max)
-    t4a, t4b = _hp_tangent(_hp_clip(y_min / delta), _hp_clip(y_max / delta))
-    t5a, t5b = _hp_tangent(
-        _hp_clip((x_min - y_max) / (1 - delta)), _hp_clip((x_max - y_min) / (1 - delta))
+    c1a, c1b = nb.chord(x_min, x_max)                    # H(x), lower
+    r0, r1 = x_min / e_min, x_max / e_max                # x/e(x) is monotone on the cell
+    c2a, c2b = nb.chord(min(r0, r1), max(r0, r1))
+    c3a, c3b = nb.chord(y_min, y_max)                    # H(y), lower
+    t4a, t4b = nb.tangent(                               # H(y/delta), upper
+        nb.minimum(y_min / delta, 1), nb.minimum(y_max / delta, 1)
     )
-    t6a, t6b = _hp_tangent(_hp_clip(y_min / e_max), _hp_clip(y_max / e_min))
+    t5a, t5b = nb.tangent(                               # H((x-y)/(1-delta)), upper
+        nb.clip((x_min - y_max) / (1 - delta)), nb.clip((x_max - y_min) / (1 - delta))
+    )
+    t6a, t6b = nb.tangent(nb.clip(y_min / e_max), nb.clip(y_max / e_min))  # H(y/e(x)), upper
     A = (1 - boost) * c1a + boost * c2a * ea + c3a - delta * t4a - (1 - delta) * t5a - t6a * ea
     B = (1 - boost) * c1b + boost * (c2a * eb + c2b) - t5b - t6a * eb
     C = c3b - t4b + t5b - t6b
-    return _hp_corner_min(A, B, C, x_min, x_max, y_min, y_max)
+    return _corner_min(nb, A, B, C, x_min, x_max, y_min, y_max)
 
 
-def _hp_corner_min(A, B, C, x_min, x_max, y_min, y_max):
-    y_hi = min(y_max, x_max)
-    pts = [
-        (max(x_min, y_min), y_min),
-        (x_max, y_min),
-        (max(x_min, y_hi), y_hi),
-        (x_max, y_hi),
-    ]
-    if y_min < x_min < y_hi:
-        pts.append((x_min, x_min))
-    return min(A + B * px + C * py for px, py in pts)
+def _certify(lemma, params, weight, slack_fn, slack_args, intervals,
+             grid_n, margin, confirm, slack_csv) -> CertReport:
+    """Scan ``slack_fn`` over a grid_n x grid_n subdivision of every x-interval
+    times y in [0, min(x, delta)], folding the cell slacks in row order.
+    ``params`` (the report's echo) holds ``delta`` and the chord weight named
+    ``weight``; ``slack_args(lo, hi)`` gives slack_fn's trailing arguments."""
+    t0 = time.perf_counter()
+    delta = params["delta"]
+    # a chord lies below H, so it strengthens the inequality only under a
+    # nonnegative weight: 1 - w on H(x), and w*e(x) on the expansion H(x/e(x))
+    if not 0.0 <= params[weight] <= 1.0:
+        raise ValueError(f"{weight}={params[weight]} must lie in [0, 1]")
+    if not math.isfinite(margin):
+        raise ValueError(f"margin={margin} must be finite")
+    if grid_n < 1:
+        raise ValueError(f"grid_n must be >= 1, got {grid_n}")
+    for lo, hi in intervals:
+        if not 0.0 < float(lo) < float(hi) < 1.0:
+            raise ValueError(f"x interval [{lo}, {hi}] must be inside (0, 1)")
+        if float(hi) + delta - 1.0 > 0.0:
+            raise ValueError("the lower constraint y >= x + delta - 1 would become active")
+
+    near_cut = 10.0 * margin
+    min_slack, argmin, corners, fail_count = math.inf, None, 0, 0
+    failing, near, grids = [], [], []
+    with open(slack_csv, "w", newline="") if slack_csv else contextlib.nullcontext() as fh:
+        writer = csv.writer(fh) if fh else None
+        for idx, (lo, hi) in enumerate(intervals):
+            args = slack_args(lo, hi)
+            xs = np.linspace(float(lo), float(hi), grid_n + 1)
+            grids.append((xs, args))
+            near_start = len(near)
+            for i in range(grid_n):
+                x_min, x_max = float(xs[i]), float(xs[i + 1])
+                ys = np.linspace(0.0, min(x_max, delta), grid_n + 1)
+                sl, extra = slack_fn(_F64, x_min, x_max, ys[:-1], ys[1:], *args)
+                corners += 4 * grid_n + int(np.count_nonzero(extra))
+                j = int(np.argmin(sl))
+                if sl[j] < min_slack:
+                    min_slack = float(sl[j])
+                    argmin = (idx, i, j)
+                bad = np.nonzero(sl < margin)[0]
+                fail_count += len(bad)
+                failing.extend(
+                    (idx, i, int(jb), float(sl[jb])) for jb in bad[: _FAIL_CAP - len(failing)]
+                )
+                close = np.nonzero(sl < near_cut)[0]
+                near.extend(
+                    (idx, i, int(jc)) for jc in close[: _NEAR_CAP - (len(near) - near_start)]
+                )
+                if writer:
+                    writer.writerows([idx, i, k, repr(float(s))] for k, s in enumerate(sl))
+
+    recheck = _recheck(near, grids, slack_fn, delta, grid_n, margin) if confirm else None
+    return CertReport(
+        lemma=lemma,
+        params=params,
+        grid=grid_n,
+        margin=margin,
+        min_slack=min_slack,
+        argmin_cell=argmin,
+        corners_evaluated=corners,
+        cells_checked=len(intervals) * grid_n * grid_n,
+        failing_cells=failing,
+        failing_count=fail_count,
+        runtime_seconds=time.perf_counter() - t0,
+        recheck=recheck,
+    )
 
 
-def _recheck(cells, margin, cell_fn):
-    """Recompute near-margin cells with extra mantissa bits."""
-    if not cells:
-        return {
-            "cells": 0,
-            "precision_bits": 53 + _EXTRA_BITS,
-            "min_slack": None,
-            "all_clear": True,
-        }
-    with mpmath.workprec(53 + _EXTRA_BITS):
-        slacks = [cell_fn(*cell) for cell in cells]
-        worst = min(slacks)
-        all_clear = worst >= margin
-        return {
-            "cells": len(cells),
-            "precision_bits": 53 + _EXTRA_BITS,
-            "min_slack": float(worst),
-            "all_clear": bool(all_clear),
-        }
-
-
-def _write_slack_csv(path, interval_index, rows):
-    import csv as _csv
-
-    with open(path, "a", newline="") as fh:
-        writer = _csv.writer(fh)
-        for i, sl in enumerate(rows):
-            for j, s in enumerate(sl):
-                writer.writerow([interval_index, i, j, repr(float(s))])
+def _recheck(cells, grids, slack_fn, delta, grid_n, margin) -> dict:
+    """Re-evaluate the scanned cells (interval, i, j) in mpmath, rebuilding
+    each row's y-grid as the scan built it; float64 inputs convert exactly."""
+    mpf = mpmath.mpf
+    worst = None
+    with mpmath.workprec(_RECHECK_BITS):
+        for idx, i, j in cells:
+            xs, args = grids[idx]
+            ys = np.linspace(0.0, min(float(xs[i + 1]), delta), grid_n + 1)
+            sl, _ = slack_fn(
+                _MP, mpf(float(xs[i])), mpf(float(xs[i + 1])),
+                mpf(float(ys[j])), mpf(float(ys[j + 1])), *(mpf(a) for a in args),
+            )
+            worst = sl if worst is None else min(worst, sl)
+    return {
+        "cells": len(cells),
+        "precision_bits": _RECHECK_BITS,
+        "min_slack": None if worst is None else float(worst),
+        "all_clear": worst is None or bool(worst >= margin),
+    }
 
 
 def certify_pair_inequality(
@@ -370,7 +300,6 @@ def certify_pair_inequality(
     x_range=(0.3, 0.3322),
     grid_n: int = 1000,
     margin: float = 1e-4,
-    threads: int = 1,
     confirm: bool = False,
     slack_csv: str | None = None,
 ) -> CertReport:
@@ -380,63 +309,19 @@ def certify_pair_inequality(
             > delta*H(y/delta) + (1-delta)*H((x-y)/(1-delta)) + gamma*x*H(y/(gamma*x))
 
     by at least ``margin``, using a grid_n x grid_n subdivision with chord and
-    tangent strengthening and corner evaluation.  Only gamma = 1 is supported.
+    tangent strengthening and corner evaluation.  Only gamma = 1 is supported;
+    p must lie in [0, 1].
     """
-    t0 = time.perf_counter()
-    delta = float(delta)
-    p = float(p)
+    delta, p = float(delta), float(p)
     x_lo, x_hi = float(x_range[0]), float(x_range[1])
     if gamma != 1.0:
         raise ValueError("only gamma = 1 is supported")
     if not 0.0 < delta <= 0.5:
         raise ValueError(f"delta={delta} outside (0, 0.5]")
-    if not 0.0 < x_lo < x_hi < 1.0:
-        raise ValueError(f"x range [{x_lo}, {x_hi}] must be inside (0, 1)")
-    if x_hi + delta - 1.0 > 0.0:
-        raise ValueError(
-            "the lower constraint y >= x + delta - 1 would become active; "
-            "this range is not supported"
-        )
-    if grid_n < 1:
-        raise ValueError(f"grid_n must be >= 1, got {grid_n}")
-
-    xs = np.linspace(x_lo, x_hi, grid_n + 1)
-    slack_rows = [] if slack_csv else None
-
-    def row(i):
-        return _pair_row(i, xs, delta, p, grid_n)
-
-    min_slack, argmin, corners, failing, fail_count, near = _scan_interval(
-        row, grid_n, margin, threads, slack_rows
-    )
-    if slack_csv:
-        open(slack_csv, "w").close()
-        _write_slack_csv(slack_csv, 0, slack_rows)
-
-    recheck = None
-    if confirm:
-        recheck = _recheck(
-            [(i, j) for i, j in near],
-            margin,
-            lambda i, j: _hp_pair_cell(
-                mpmath.mpf(repr(x_lo)), mpmath.mpf(repr(x_hi)), grid_n,
-                mpmath.mpf(repr(delta)), mpmath.mpf(repr(p)), i, j,
-            ),
-        )
-
-    return CertReport(
-        lemma="pair-expansion",
-        params={"delta": delta, "gamma": 1.0, "p": p, "x_range": [x_lo, x_hi]},
-        grid=grid_n,
-        margin=margin,
-        min_slack=min_slack,
-        argmin_cell=(0,) + argmin,
-        corners_evaluated=corners,
-        cells_checked=grid_n * grid_n,
-        failing_cells=[(0,) + f for f in failing],
-        failing_count=fail_count,
-        runtime_seconds=time.perf_counter() - t0,
-        recheck=recheck,
+    return _certify(
+        "pair-expansion", {"delta": delta, "gamma": 1.0, "p": p, "x_range": [x_lo, x_hi]},
+        "p", _pair_slack, lambda lo, hi: (delta, p), [(x_lo, x_hi)],
+        grid_n, margin, confirm, slack_csv,
     )
 
 
@@ -464,7 +349,6 @@ def certify_expansion_inequality(
     x_intervals=None,
     grid_n: int = 1000,
     margin: float = 1e-4,
-    threads: int = 1,
     confirm: bool = False,
     slack_csv: str | None = None,
 ) -> CertReport:
@@ -474,12 +358,11 @@ def certify_expansion_inequality(
             > delta*H(y/delta) + (1-delta)*H((x-y)/(1-delta)) + e(x)*H(y/e(x))
 
     by at least ``margin``, where e is the piecewise-linear expansion profile
-    of ``constants``.  Every x-interval must lie inside one linear segment of
-    e; by default the range [0.21, 0.48] is split at the profile anchors.
+    of ``constants`` and boost lies in [0, 1].  Every x-interval must lie
+    inside one linear segment of e; by default the range [0.21, 0.48] is
+    split at the profile anchors.
     """
-    t0 = time.perf_counter()
-    delta = float(delta)
-    boost = float(boost)
+    delta, boost = float(delta), float(boost)
     constants = constants if constants is not None else density253_constants()
     profile = expansion_profile(constants)
     if x_intervals is None:
@@ -487,79 +370,12 @@ def certify_expansion_inequality(
         x_intervals = [(0.21, c1), (c1, c3), (c3, c5), (c5, 0.48)]
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta={delta} outside (0, 1)")
-    if grid_n < 1:
-        raise ValueError(f"grid_n must be >= 1, got {grid_n}")
-    for lo, hi in x_intervals:
-        if not 0.0 < float(lo) < float(hi) < 1.0:
-            raise ValueError(f"x interval [{lo}, {hi}] must be inside (0, 1)")
-        if float(hi) + delta - 1.0 > 0.0:
-            raise ValueError(
-                "the lower constraint y >= x + delta - 1 would become active; "
-                "this range is not supported"
-            )
-
-    if slack_csv:
-        open(slack_csv, "w").close()
-
-    min_slack = math.inf
-    argmin = None
-    corners = 0
-    cells = 0
-    failing = []
-    fail_count = 0
-    recheck_cells = []
-    segments = []
-
-    for idx, (lo, hi) in enumerate(x_intervals):
-        ea, eb = _segment_for(profile, lo, hi)
-        segments.append((float(lo), float(hi), ea, eb))
-        xs = np.linspace(float(lo), float(hi), grid_n + 1)
-        slack_rows = [] if slack_csv else None
-
-        def row(i, xs=xs, ea=ea, eb=eb):
-            return _expansion_row(i, xs, delta, boost, ea, eb, grid_n)
-
-        mn, am, crn, fl, fc, near = _scan_interval(row, grid_n, margin, threads, slack_rows)
-        corners += crn
-        cells += grid_n * grid_n
-        if mn < min_slack:
-            min_slack = mn
-            argmin = (idx,) + am
-        failing.extend((idx,) + f for f in fl[: max(0, _FAIL_CAP - len(failing))])
-        fail_count += fc
-        recheck_cells.extend((idx, i, j) for i, j in near)
-        if slack_csv:
-            _write_slack_csv(slack_csv, idx, slack_rows)
-
-    recheck = None
-    if confirm:
-        def hp_cell(idx, i, j):
-            lo, hi, ea, eb = segments[idx]
-            return _hp_expansion_cell(
-                mpmath.mpf(repr(lo)), mpmath.mpf(repr(hi)), grid_n,
-                mpmath.mpf(repr(delta)), mpmath.mpf(repr(boost)),
-                mpmath.mpf(repr(ea)), mpmath.mpf(repr(eb)), i, j,
-            )
-
-        recheck = _recheck(recheck_cells, margin, hp_cell)
-
-    return CertReport(
-        lemma="expansion",
-        params={
-            "delta": delta,
-            "boost": boost,
-            "x_intervals": [[float(lo), float(hi)] for lo, hi in x_intervals],
-        },
-        grid=grid_n,
-        margin=margin,
-        min_slack=min_slack,
-        argmin_cell=argmin,
-        corners_evaluated=corners,
-        cells_checked=cells,
-        failing_cells=failing,
-        failing_count=fail_count,
-        runtime_seconds=time.perf_counter() - t0,
-        recheck=recheck,
+    return _certify(
+        "expansion",
+        {"delta": delta, "boost": boost,
+         "x_intervals": [[float(lo), float(hi)] for lo, hi in x_intervals]},
+        "boost", _expansion_slack, lambda lo, hi: (delta, boost) + _segment_for(profile, lo, hi),
+        x_intervals, grid_n, margin, confirm, slack_csv,
     )
 
 

@@ -58,7 +58,6 @@ def _cmd_certify_pair(args) -> int:
         x_range=(args.x_min, args.x_max),
         grid_n=args.grid,
         margin=args.margin,
-        threads=args.threads,
         confirm=args.confirm,
         slack_csv=args.slack_csv,
     )
@@ -84,7 +83,6 @@ def _cmd_certify_expansion(args) -> int:
         x_intervals=intervals,
         grid_n=args.grid,
         margin=args.margin,
-        threads=args.threads,
         confirm=args.confirm,
         slack_csv=args.slack_csv,
     )
@@ -272,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--x-max", type=float, default=0.3322)
     sub.add_argument("--grid", type=int, default=1000)
     sub.add_argument("--margin", type=float, default=0.0001)
-    sub.add_argument("--threads", type=int, default=1)
     sub.add_argument("--confirm", action="store_true", help="recheck near-margin cells at high precision")
     sub.add_argument("--slack-csv", help="dump per-cell slacks to this CSV path")
     _add_output(sub)
@@ -288,7 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--x-max", type=float, default=0.48)
     sub.add_argument("--grid", type=int, default=1000)
     sub.add_argument("--margin", type=float, default=0.0001)
-    sub.add_argument("--threads", type=int, default=1)
     sub.add_argument("--confirm", action="store_true", help="recheck near-margin cells at high precision")
     sub.add_argument("--slack-csv", help="dump per-cell slacks to this CSV path")
     _add_output(sub)

@@ -1,17 +1,19 @@
+import hashlib
 import json
-import math
 import random
 from fractions import Fraction
 
+import mpmath
+import numpy as np
 import pytest
 
 from superconc.certifier import (
-    Cell,
-    CertReport,
+    _F64,
+    _MP,
+    _corner_min,
     certify_expansion_inequality,
     certify_pair_inequality,
     check_pairexp_degree,
-    corner_points,
     direct_check_ratio,
 )
 from superconc.entropy import chord_lower, entropy, tangent_upper
@@ -28,50 +30,54 @@ PROFILE = expansion_profile(C)
 # --- corner geometry -----------------------------------------------------------
 
 
+def _corner_min_both(A, B, Cc, x_min, x_max, y_min, y_max):
+    """_corner_min on one cell with both backends; asserts that they agree and
+    returns (slack, extra)."""
+    sl, extra = _corner_min(
+        _F64, A, B, Cc, x_min, x_max, np.array([y_min]), np.array([y_max])
+    )
+    with mpmath.workprec(113):
+        mpf = mpmath.mpf
+        sl_mp, extra_mp = _corner_min(
+            _MP, mpf(A), mpf(B), mpf(Cc), mpf(x_min), mpf(x_max), mpf(y_min), mpf(y_max)
+        )
+    assert bool(extra[0]) == extra_mp
+    assert float(sl_mp) == pytest.approx(float(sl[0]), abs=1e-12)
+    return float(sl[0]), extra_mp
+
+
 def test_corner_points_straddling_cell():
-    cell = Cell(0.3, 0.31, 0.29, 0.305)
-    pts = corner_points(cell)
-    for want in [(0.3, 0.29), (0.31, 0.29), (0.305, 0.305), (0.31, 0.305)]:
-        assert want in pts
-    # the diagonal crosses the left edge, so its vertex joins the corner set
-    assert (0.3, 0.3) in pts
-    assert len(pts) == 5
+    # the diagonal crosses the left edge, so (0.3, 0.3) joins the four corners
+    # (0.3, 0.29), (0.31, 0.29), (0.305, 0.305), (0.31, 0.305); 2x - y is
+    # smallest there, and 0.305 without it
+    sl, extra = _corner_min_both(0.0, 2.0, -1.0, 0.3, 0.31, 0.29, 0.305)
+    assert extra
+    assert sl == pytest.approx(0.3, abs=1e-15)
 
 
 def test_corner_points_cell_below_diagonal():
-    cell = Cell(0.5, 0.6, 0.1, 0.2)
-    assert corner_points(cell) == [(0.5, 0.1), (0.6, 0.1), (0.5, 0.2), (0.6, 0.2)]
-
-
-def test_corner_points_infeasible_cell_is_empty():
-    assert corner_points(Cell(0.1, 0.2, 0.3, 0.4)) == []
-
-
-def test_corner_points_deduplicates():
-    pts = corner_points(Cell(0.2, 0.2, 0.1, 0.1))
-    assert pts == [(0.2, 0.1)]
-
-
-def test_corner_points_only_unit_gamma():
-    with pytest.raises(ValueError):
-        corner_points(Cell(0.3, 0.4, 0.0, 0.1), gamma=2.0)
+    rng = random.Random(5)
+    pts = [(0.5, 0.1), (0.6, 0.1), (0.5, 0.2), (0.6, 0.2)]
+    for _ in range(20):
+        A, B, Cc = rng.uniform(-3, 3), rng.uniform(-3, 3), rng.uniform(-3, 3)
+        sl, extra = _corner_min_both(A, B, Cc, 0.5, 0.6, 0.1, 0.2)
+        assert not extra
+        assert sl == pytest.approx(min(A + B * x + Cc * y for x, y in pts), abs=1e-15)
 
 
 def test_corner_minimum_dominates_feasible_polygon():
     # an affine function over the clipped cell attains its minimum at one of
-    # the reported corners
+    # the corners _corner_min evaluates
     rng = random.Random(11)
     for _ in range(200):
         x0 = rng.uniform(0.05, 0.8)
         x1 = x0 + rng.uniform(1e-4, 0.1)
         y0 = rng.uniform(0.0, 0.8)
         y1 = y0 + rng.uniform(1e-4, 0.1)
-        cell = Cell(x0, x1, y0, y1)
-        pts = corner_points(cell)
-        if not pts:
-            continue
+        if y0 > x1:
+            continue  # infeasible; the scan never builds such a cell
         A, B, Cc = rng.uniform(-3, 3), rng.uniform(-3, 3), rng.uniform(-3, 3)
-        corner_min = min(A + B * x + Cc * y for x, y in pts)
+        corner_min, _ = _corner_min_both(A, B, Cc, x0, x1, y0, y1)
         for i in range(20):
             for j in range(20):
                 x = x0 + (x1 - x0) * i / 19
@@ -117,14 +123,6 @@ def test_pair_grid_refinement_does_not_lose_slack():
     coarse = certify_pair_inequality(grid_n=100)
     fine = certify_pair_inequality(grid_n=200)
     assert fine.min_slack >= coarse.min_slack - 1e-12
-
-
-def test_pair_certification_threads_are_schedule_independent():
-    a = certify_pair_inequality(grid_n=150, threads=1)
-    b = certify_pair_inequality(grid_n=150, threads=4)
-    assert a.min_slack == b.min_slack
-    assert a.argmin_cell == b.argmin_cell
-    assert a.corners_evaluated == b.corners_evaluated
 
 
 def test_pair_certification_report_is_reproducible():
@@ -179,6 +177,19 @@ def test_pair_recheck_skips_when_no_cell_is_close():
     }
 
 
+def test_recheck_covers_exactly_the_near_margin_cells(tmp_path):
+    base = certify_pair_inequality(grid_n=100)
+    margin = base.min_slack / 2
+    path = tmp_path / "slacks.csv"
+    report = certify_pair_inequality(
+        grid_n=100, margin=margin, confirm=True, slack_csv=str(path)
+    )
+    slacks = [float(r.split(",")[3]) for r in path.read_text().splitlines()]
+    assert report.recheck["cells"] == sum(s < 10 * margin for s in slacks) > 0
+    assert report.recheck["min_slack"] == pytest.approx(base.min_slack, abs=1e-12)
+    assert report.recheck["all_clear"] is True
+
+
 # --- expansion inequality --------------------------------------------------------
 
 
@@ -225,8 +236,10 @@ def test_expansion_single_cell_matches_scalar_envelope_oracle():
         rhs = delta * t4(y / delta) + (1 - delta) * t5((x - y) / (1 - delta)) + e * t6(y / e)
         return lhs - rhs
 
-    pts = corner_points(Cell(x_min, x_max, y_min, y_max))
-    assert len(pts) == 4
+    # the cell lies below the diagonal (y_max = delta < c3 = x_min), so the
+    # clipped polygon is the whole rectangle
+    assert y_max < x_min
+    pts = [(x_min, y_min), (x_max, y_min), (x_min, y_max), (x_max, y_max)]
     want = min(slack(x, y) for x, y in pts)
     assert report.min_slack == pytest.approx(want, abs=1e-12)
     assert report.corners_evaluated == 4
@@ -280,6 +293,28 @@ def test_report_json_schema():
         assert key in d
     assert d["lemma"] == "pair-expansion"
     json.dumps(d)
+
+
+@pytest.mark.parametrize(
+    "make, want",
+    [
+        (
+            lambda: certify_pair_inequality(grid_n=200),
+            "046114584fe42fd300fb9d49853319ba3484245954c9a26bda5c7200269c84f3",
+        ),
+        (
+            lambda: certify_expansion_inequality(grid_n=100),
+            "a182dc911b83a2710031b464c0e4e1e9e23c048494e3c33044a4668672fa9684",
+        ),
+        (  # two failing cells
+            lambda: certify_pair_inequality(grid_n=100, margin=0.0016),
+            "3a466816f962991fdd44366a3ef3bf5bec1504d972d43d2f4f2795dd1ad4fb3f",
+        ),
+    ],
+)
+def test_report_json_golden_hash(make, want):
+    text = json.dumps(make().to_json_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == want
 
 
 def test_slack_csv_dump(tmp_path):

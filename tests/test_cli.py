@@ -68,6 +68,27 @@ def test_bad_configuration_exits_two(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify-pair", "--p", "nan"],
+        ["certify-pair", "--p", "inf"],
+        ["certify-pair", "--p", "-0.1"],
+        ["certify-pair", "--p", "1.5"],
+        ["certify-pair", "--margin", "nan"],
+        ["certify-pair", "--margin", "inf"],
+        ["certify-expansion", "--boost", "nan"],
+        ["certify-expansion", "--boost", "-0.5"],
+        ["certify-expansion", "--boost", "1.5"],
+        ["certify-expansion", "--margin=-inf"],
+        ["certify-expansion", "--x-max", "inf"],
+    ],
+)
+def test_certify_rejects_bad_parameters(argv, capsys):
+    assert main(argv + ["--grid", "10"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_sample_expander_round_trip(tmp_path, capsys):
     out = tmp_path / "g.txt"
     dot = tmp_path / "g.dot"
@@ -111,10 +132,6 @@ def test_check_expansion_with_profile_file(tmp_path, capsys):
         ["check-expansion", "--graph", str(graph), "--profile", str(profile), "--k-max", "3"]
     )
     assert rc == 0
-
-
-def test_certify_pair_threads_flag(capsys):
-    assert main(["certify-pair", "--grid", "40", "--threads", "3"]) == 0
 
 
 def test_build_and_verify_round_trip(tmp_path, capsys):
