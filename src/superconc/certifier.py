@@ -35,7 +35,8 @@ from types import SimpleNamespace
 import mpmath
 import numpy as np
 
-from .entropy import chord_coefficients, entropy, entropy_mp, tangent_coefficients
+from ._entropy_numeric import chord_coefficients, entropy_mp, tangent_coefficients
+from .entropy import entropy
 from .profiles import (
     PiecewiseLinear,
     ProfileConstants,

@@ -16,7 +16,9 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import certifier, construction, probability, profiles, randgraph
+# certifier and construction load numpy, scipy and mpmath; only the commands
+# that use them import them.
+from . import probability, profiles, randgraph
 from .entropy import stirling_gap
 
 _USAGE_ERROR = 2
@@ -51,6 +53,8 @@ def _write_report(args, payload: dict, path=_DEFAULT_PATH) -> None:
 
 
 def _cmd_certify_pair(args) -> int:
+    from . import certifier
+
     report = certifier.certify_pair_inequality(
         delta=args.delta,
         gamma=args.gamma,
@@ -71,6 +75,8 @@ def _cmd_certify_pair(args) -> int:
 
 
 def _cmd_certify_expansion(args) -> int:
+    from . import certifier
+
     constants = profiles.ProfileConstants.from_c1_c3(
         args.c1, args.c3, d=args.d, delta=args.delta
     )
@@ -150,6 +156,8 @@ def _cmd_check_expansion(args) -> int:
 
 
 def _cmd_build_sc(args) -> int:
+    from . import construction
+
     cfg = construction.BuildConfig(
         base_size=args.base,
         d=args.d,
@@ -166,7 +174,11 @@ def _cmd_build_sc(args) -> int:
             sizes.append(n)
             n //= 2
         cfg.expanders = {m: randgraph.complete_bipartite(m) for m in sizes}
-    dag = construction.build_gamma(args.n, cfg)
+    try:
+        dag = construction.build_gamma(args.n, cfg)
+    except construction.BuildError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return _CHECK_FAILED
     if args.output:
         Path(args.output).write_text(dag.to_json() + "\n")
     if args.dot:
@@ -182,6 +194,8 @@ def _cmd_build_sc(args) -> int:
 
 
 def _cmd_verify_sc(args) -> int:
+    from . import construction
+
     dag = construction.SuperDag.from_json(Path(args.graph).read_text())
     report = construction.verify_superconcentrator(
         dag, mode=args.mode, trials=args.trials, seed=args.seed, budget=args.budget
@@ -213,7 +227,7 @@ def _cmd_prob_bound(args) -> int:
 
 
 def _cmd_exact_plr(args) -> int:
-    value = probability.exact_plr(args.n, args.ell, args.r, args.d, pk_mode=args.pk_mode)
+    value = probability.exact_plr(args.n, args.ell, args.r, args.d)
     _write_report(
         args,
         {"exact": f"{value.numerator}/{value.denominator}", "float": float(value)},
@@ -371,7 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--ell", type=int, required=True)
     sub.add_argument("--r", type=int, required=True)
     sub.add_argument("--d", type=int, required=True)
-    sub.add_argument("--pk-mode", choices=["containment", "avoidance"], default="containment")
     _add_output(sub)
     sub.set_defaults(func=_cmd_exact_plr)
 
@@ -401,9 +414,6 @@ def main(argv=None) -> int:
     except randgraph.EnumerationBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _USAGE_ERROR
-    except construction.BuildError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _CHECK_FAILED
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _USAGE_ERROR

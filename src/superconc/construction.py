@@ -20,6 +20,7 @@ import itertools
 import json
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -207,15 +208,45 @@ class SuperDag:
 
     @classmethod
     def from_json(cls, text: str) -> "SuperDag":
+        """Parse the output of :meth:`to_json`.
+
+        Raises ValueError unless the file describes a graph the verifier can
+        trust: object node records with known roles, node ids in range,
+        input and output lists that match the roles, no duplicate edges and
+        no cycle.
+        """
         payload = json.loads(text)
+        keys = ("nodes", "edges", "inputs", "outputs")
+        if not isinstance(payload, dict) or not all(isinstance(payload.get(k), list) for k in keys):
+            raise ValueError(f"graph file must hold a JSON object with {', '.join(keys)} lists")
         dag = cls()
         for node in payload["nodes"]:
-            dag.labels.append(tuple(node["label"]))
-            dag.roles.append(node["role"])
-            dag.level_of.append(node["level"])
-        dag.inputs = list(payload["inputs"])
-        dag.outputs = list(payload["outputs"])
-        dag.edges = [tuple(e) for e in payload["edges"]]
+            if not isinstance(node, dict) or not isinstance(node.get("label"), list):
+                raise ValueError(f"node record {node!r} is not an object with a label list")
+            dag.add_node(node["role"], node["level"], tuple(node["label"]))
+
+        def node_id(v):
+            if type(v) is not int or not 0 <= v < dag.num_nodes:
+                raise ValueError(f"node id {v!r} outside 0..{dag.num_nodes - 1}")
+            return v
+
+        # add_node listed the inputs and outputs by role in id order; the
+        # file's lists must hold the same ids, in the order the file gives
+        for key, by_role in (("inputs", dag.inputs), ("outputs", dag.outputs)):
+            ids = [node_id(v) for v in payload[key]]
+            if sorted(ids) != by_role:
+                raise ValueError(f"{key} list disagrees with the node roles")
+            by_role[:] = ids
+        try:
+            dag.edges = [(u, v) for u, v in payload["edges"]]
+        except (TypeError, ValueError):
+            raise ValueError("edges must be pairs of node ids") from None
+        for v in {v for edge in dag.edges for v in edge}:
+            node_id(v)
+        if len(set(dag.edges)) != len(dag.edges):
+            dup = next(e for e, count in Counter(dag.edges).items() if count > 1)
+            raise ValueError(f"duplicate edge {dup}")
+        dag.topological_order()  # raises on a cycle
         dag.level_records = payload["levels"]
         return dag
 

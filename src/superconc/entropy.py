@@ -6,16 +6,16 @@ interval, and any tangent lies above H on all of [0, 1].  Both envelopes are
 exposed twice: as :class:`LinearBound` objects for scalar use, and as
 coefficient pairs (`chord_coefficients`, `tangent_coefficients`) that operate
 elementwise on numpy arrays so grid scans stay vectorized.
+
+Everything evaluated on a Python number needs only :mod:`math`.  The array
+and mpmath functions live in :mod:`superconc._entropy_numeric`, which imports
+numpy, scipy.special and mpmath; this module loads it on first use.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import mpmath
-import numpy as np
-from scipy.special import xlogy
 
 __all__ = [
     "entropy",
@@ -31,24 +31,25 @@ __all__ = [
 ]
 
 
-def _h(arr):
-    """Entropy without domain checks; assumes values already in [0, 1]."""
-    return -xlogy(arr, arr) - xlogy(1.0 - arr, 1.0 - arr)
+def _xlogx(x: float) -> float:
+    return x * math.log(x) if x else 0.0
 
 
 def entropy(x):
     """-x*ln(x) - (1-x)*ln(1-x) for x in [0, 1]; zero at both endpoints.
 
     Accepts a scalar or a numpy array; scalar input returns a plain float.
-    Values outside [0, 1] are rejected.
+    Values outside [0, 1] are rejected.  A Python int or float is evaluated
+    with math.log, bit-equal to the array path (scipy's xlogy).
     """
-    arr = np.asarray(x, dtype=float)
-    if arr.size and (np.min(arr) < 0.0 or np.max(arr) > 1.0):
+    if not isinstance(x, (int, float)):
+        from ._entropy_numeric import entropy_array
+
+        return entropy_array(x)
+    x = float(x)
+    if x < 0.0 or x > 1.0:
         raise ValueError(f"entropy argument outside [0, 1]: {x!r}")
-    out = _h(arr)
-    if np.ndim(x) == 0:
-        return float(out)
-    return out
+    return -_xlogx(x) - _xlogx(1.0 - x)
 
 
 def entropy_slope(m: float) -> float:
@@ -56,14 +57,6 @@ def entropy_slope(m: float) -> float:
     if not 0.0 < m < 1.0:
         raise ValueError(f"entropy slope undefined at {m!r}")
     return math.log((1.0 - m) / m)
-
-
-def entropy_mp(x):
-    """Entropy evaluated with mpmath at the current working precision."""
-    x = mpmath.mpf(x)
-    if x == 0 or x == 1:
-        return mpmath.mpf(0)
-    return -x * mpmath.log(x) - (1 - x) * mpmath.log(1 - x)
 
 
 @dataclass(frozen=True)
@@ -112,38 +105,6 @@ def tangent_upper(lo: float, hi: float) -> LinearBound:
     return LinearBound(entropy(m) - slope * m, slope, lo, hi, "upper")
 
 
-def chord_coefficients(lo, hi):
-    """(intercept, slope) arrays of the secant of H over [lo, hi], elementwise.
-
-    Degenerate intervals yield the constant H(lo).  Inputs are assumed to lie
-    in [0, 1]; callers clip first.
-    """
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    h_lo = _h(lo)
-    width = hi - lo
-    safe = np.where(width > 0.0, width, 1.0)
-    slope = np.where(width > 0.0, (_h(hi) - h_lo) / safe, 0.0)
-    return h_lo - slope * lo, slope
-
-
-def tangent_coefficients(lo, hi):
-    """(intercept, slope) arrays of the midpoint tangent of H, elementwise.
-
-    When an interval is pinned to a single endpoint value 0 or 1, the zero
-    function is returned; that is exact there since H(0) = H(1) = 0 and keeps
-    the upper-bound role of the tangent.  Inputs are assumed to lie in [0, 1].
-    """
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    m = 0.5 * (lo + hi)
-    interior = (m > 0.0) & (m < 1.0)
-    msafe = np.where(interior, m, 0.5)
-    slope = np.where(interior, np.log((1.0 - msafe) / msafe), 0.0)
-    intercept = np.where(interior, _h(msafe) - slope * msafe, 0.0)
-    return intercept, slope
-
-
 def log_binomial(n: int, k: int) -> float:
     """Natural log of C(n, k), stable up to n of a million and beyond.
 
@@ -163,3 +124,15 @@ def stirling_gap(n: int, k: int) -> float:
     if not 0 <= k <= n:
         raise ValueError(f"k={k} outside [0, {n}]")
     return abs(log_binomial(n, k) / n - entropy(k / n))
+
+
+_NUMERIC = ("entropy_mp", "chord_coefficients", "tangent_coefficients")
+
+
+def __getattr__(name):
+    # PEP 562: the numpy/mpmath functions load on first access
+    if name in _NUMERIC:
+        from . import _entropy_numeric
+
+        return getattr(_entropy_numeric, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

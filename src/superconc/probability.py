@@ -17,6 +17,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .entropy import log_binomial
 from .profiles import as_fraction
 from .randgraph import derive_seed, min_expansion, min_pair_expansion, sample_g
 
@@ -112,8 +113,6 @@ def pair_fail_bound(N: int, d: int, delta, k: int, m: int, regime: str = "auto")
         )
         exact = comb0(N // 2, m - 1) * ratio * total
         return BoundValue(_log_fraction(exact), exact, "exact")
-    from .entropy import log_binomial
-
     base = log_binomial(N // 2, m - 1) + d * (log_binomial(2 * m - 2, k) - log_binomial(N, k))
     terms = [
         log_binomial(pinned, i)
@@ -153,8 +152,6 @@ def expansion_fail_bound(N: int, d: int, delta, k: int, m: int, regime: str = "a
         )
         exact = comb0(N, m - 1) * ratio * total
         return BoundValue(_log_fraction(exact), exact, "exact")
-    from .entropy import log_binomial
-
     base = log_binomial(N, m - 1) + d * (log_binomial(m - 1, k) - log_binomial(N, k))
     terms = [
         log_binomial(pinned, i)
@@ -202,15 +199,13 @@ def alpha_coefficients(n: int, r: int) -> list[int]:
     return double
 
 
-def exact_plr(n: int, ell: int, r: int, d: int, pk_mode: str = "containment") -> Fraction:
+def exact_plr(n: int, ell: int, r: int, d: int) -> Fraction:
     """Exact probability that a fixed left ell-subset has at most r distinct
     right neighbors under d independent permutation overlays.
 
     Computed as sum over k of alpha_k * p_k in rational arithmetic, with
     p_k = (C(k, ell)/C(n, ell))^d the probability that all d images land
-    inside a fixed k-subset.  pk_mode="avoidance" substitutes the alternative
-    single-overlay term C(n-k, ell)/C(n, ell) instead; it does not describe
-    this event and is exposed only for comparison.
+    inside a fixed k-subset.
     """
     if not 1 <= ell <= n:
         raise ValueError(f"ell={ell} outside 1..{n}")
@@ -220,16 +215,8 @@ def exact_plr(n: int, ell: int, r: int, d: int, pk_mode: str = "containment") ->
         raise ValueError(f"d must be >= 1, got {d}")
     alphas = alpha_coefficients(n, r)
     cn = comb0(n, ell)
-    total = Fraction(0)
-    for k, alpha in enumerate(alphas):
-        if pk_mode == "containment":
-            pk = Fraction(comb0(k, ell), cn) ** d
-        elif pk_mode == "avoidance":
-            pk = Fraction(comb0(n - k, ell), cn)
-        else:
-            raise ValueError(f"unknown pk_mode {pk_mode!r}")
-        total += alpha * pk
-    if pk_mode == "containment" and not 0 <= total <= 1:
+    total = sum((alpha * Fraction(comb0(k, ell), cn) ** d for k, alpha in enumerate(alphas)), Fraction(0))
+    if not 0 <= total <= 1:
         raise ArithmeticError(f"probability {total} outside [0, 1] for n={n}, ell={ell}, r={r}, d={d}")
     return total
 

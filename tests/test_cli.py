@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -252,3 +253,93 @@ def test_stirling_scan_small(capsys):
 def test_missing_graph_file_is_usage_error(tmp_path, capsys):
     rc = main(["verify-sc", "--graph", str(tmp_path / "absent.json")])
     assert rc == 2
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (
+            ["stirling-scan", "--print-json"],
+            "fa248e5d2fb0e624ec1ab1dcfff8dd5047699af264e40af15b197ffe1b6002eb",
+        ),
+        (
+            ["prob-bound", "--kind", "expansion", "--n", "4000", "--k", "400", "--m", "800", "--print-json"],
+            "a193b7aa63433bac99e6c0f77d3700eb242f1b4a8bbcdb12e646b2c5e4039ad9",
+        ),
+    ],
+    ids=["stirling-scan", "prob-bound-log"],
+)
+def test_scalar_entropy_commands_golden_stdout(argv, want, capsys):
+    # both evaluate entropy or log-binomials on Python floats
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == want
+
+
+def test_build_retry_exhaustion_exits_one(tmp_path, capsys):
+    graph = tmp_path / "sc.json"
+    argv = ["build-sc", "--n", "16", "--base", "4", "--d", "1", "--delta", "0", "--retries", "2"]
+    assert main(argv + ["--output", str(graph)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "within 2 attempts" in err
+    assert not graph.exists()
+
+
+def _graph_payload(**changes):
+    """A 2-input complete bipartite graph, a valid superconcentrator."""
+    roles = ["input", "input", "output", "output"]
+    payload = {
+        "nodes": [{"role": r, "level": 0, "label": [r[0], i]} for i, r in enumerate(roles)],
+        "edges": [[0, 2], [0, 3], [1, 2], [1, 3]],
+        "inputs": [0, 1],
+        "outputs": [2, 3],
+        "levels": [],
+    }
+    payload.update(changes)
+    return payload
+
+
+def test_verify_accepts_hand_written_graph(tmp_path):
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps(_graph_payload(inputs=[1, 0])))
+    assert main(["verify-sc", "--graph", str(graph), "--mode", "exhaustive"]) == 0
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        (_graph_payload(nodes=[1, 2]), "is not an object"),
+        (_graph_payload(nodes=[{"role": "input", "level": 0, "label": 5}]), "label list"),
+        ([], "must hold a JSON object"),
+        (_graph_payload(inputs=0), "with nodes, edges, inputs, outputs lists"),
+        (_graph_payload(edges=[[0, 2], [0, 7]]), "node id 7 outside 0..3"),
+        (_graph_payload(edges=[[0, 2], [-1, 3]]), "node id -1 outside"),
+        (_graph_payload(edges=[[0, 2, 3]]), "edges must be pairs of node ids"),
+        (_graph_payload(inputs=[0, 4]), "node id 4 outside"),
+        (_graph_payload(inputs=[0, 2]), "inputs list disagrees with the node roles"),
+        (_graph_payload(inputs=[0, 0]), "inputs list disagrees"),
+        (_graph_payload(outputs=[2]), "outputs list disagrees"),
+        (_graph_payload(edges=[[0, 2], [0, 3], [1, 2], [1, 3], [0, 2]]), "duplicate edge (0, 2)"),
+        (_graph_payload(edges=[[0, 2], [2, 0], [1, 3]]), "cycle"),
+    ],
+    ids=[
+        "non-object-node",
+        "label-not-a-list",
+        "not-an-object",
+        "inputs-not-a-list",
+        "edge-id-out-of-range",
+        "negative-edge-id",
+        "edge-not-a-pair",
+        "input-id-out-of-range",
+        "inputs-disagree-with-roles",
+        "repeated-input",
+        "output-missing",
+        "duplicate-edge",
+        "cycle",
+    ],
+)
+def test_verify_rejects_malformed_graph(tmp_path, capsys, payload, message):
+    graph = tmp_path / "bad.json"
+    graph.write_text(json.dumps(payload))
+    assert main(["verify-sc", "--graph", str(graph)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err

@@ -3,7 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from superconc.entropy import (
@@ -50,6 +50,16 @@ def test_entropy_vectorized_matches_scalar():
     vec = entropy(xs)
     for x, v in zip(xs, vec):
         assert v == entropy(float(x))
+
+
+@settings(max_examples=500)
+@given(st.floats(min_value=0.0, max_value=1.0))
+@example(0.0)
+@example(1.0)
+@example(5e-324)
+def test_scalar_entropy_bit_equals_array_path(x):
+    # a Python float takes math.log, an array scipy's xlogy
+    assert entropy(x).hex() == entropy(np.array([x]))[0].hex()
 
 
 @settings(max_examples=200)

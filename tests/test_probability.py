@@ -222,14 +222,6 @@ def test_exact_plr_monotonicity():
     assert all(a >= b for a, b in zip(values_d, values_d[1:]))
 
 
-def test_exact_plr_avoidance_mode_differs():
-    a = exact_plr(6, 2, 3, 2)
-    b = exact_plr(6, 2, 3, 2, pk_mode="avoidance")
-    assert a != b
-    with pytest.raises(ValueError):
-        exact_plr(6, 2, 3, 2, pk_mode="bogus")
-
-
 def test_exact_plr_validation():
     with pytest.raises(ValueError):
         exact_plr(6, 0, 3, 2)
