@@ -23,7 +23,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .profiles import PiecewiseLinear, as_fraction
 
@@ -233,11 +233,11 @@ def _check_budget(n: int, k: int, budget: int) -> None:
         raise EnumerationBudgetError(f"scanning all C({n},{k}) size-{k} subsets", count, budget)
 
 
-def _min_subset_score(masks: tuple, k: int, score: Callable[[int], int]):
-    """Exact minimum of score(union mask) over all k-subsets, with the
-    lexicographically smallest witness.
+def _min_subset_score(masks: tuple, k: int):
+    """Exact minimum of the popcount of the union of k masks, with the
+    lexicographically smallest witness (1-based positions).
 
-    score must be nondecreasing under union, which lets partial unions prune.
+    Popcount is nondecreasing under union, which lets partial unions prune.
     """
     n = len(masks)
     best = math.inf
@@ -248,14 +248,14 @@ def _min_subset_score(masks: tuple, k: int, score: Callable[[int], int]):
         nonlocal best, best_witness
         depth = len(chosen)
         if depth == k:
-            s = score(acc)
+            s = acc.bit_count()
             if s < best:
                 best = s
                 best_witness = tuple(v + 1 for v in chosen)
             return
         for v in range(start, n - (k - depth) + 1):
             nxt = acc | masks[v]
-            if score(nxt) >= best:
+            if nxt.bit_count() >= best:
                 continue
             chosen.append(v)
             rec(v + 1, nxt)
@@ -274,7 +274,7 @@ def min_expansion(g: BipartiteGraph, k: int, budget: int = DEFAULT_BUDGET):
     if not 1 <= k <= g.n:
         raise ValueError(f"k={k} outside 1..{g.n}")
     _check_budget(g.n, k, budget)
-    return _min_subset_score(g.masks, k, int.bit_count)
+    return _min_subset_score(g.masks, k)
 
 
 def min_pair_expansion(g: BipartiteGraph, k: int, budget: int = DEFAULT_BUDGET):
@@ -286,8 +286,9 @@ def min_pair_expansion(g: BipartiteGraph, k: int, budget: int = DEFAULT_BUDGET):
     if not 1 <= k <= g.n:
         raise ValueError(f"k={k} outside 1..{g.n}")
     _check_budget(g.n, k, budget)
+    # folding commutes with union, so the scan can run on folded masks
     half = g.n // 2
-    return _min_subset_score(g.masks, k, lambda m: _pair_fold(m, half).bit_count())
+    return _min_subset_score(tuple(_pair_fold(m, half) for m in g.masks), k)
 
 
 def sampled_min_expansion(g: BipartiteGraph, k: int, trials: int, seed: int):
@@ -301,6 +302,8 @@ def sampled_min_expansion(g: BipartiteGraph, k: int, trials: int, seed: int):
     """
     if not 1 <= k <= g.n:
         raise ValueError(f"k={k} outside 1..{g.n}")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     best = math.inf
     best_witness: tuple = ()
     for t in range(trials):
@@ -315,32 +318,32 @@ def sampled_min_expansion(g: BipartiteGraph, k: int, trials: int, seed: int):
 
 def _descend(g: BipartiteGraph, S: list[int]):
     members = list(S)
+    k = len(members)
     while True:
         masks = [g.masks[v - 1] for v in members]
-        union = 0
-        for m in masks:
-            union |= m
-        total = union.bit_count()
-        # member whose removal sheds the most neighbors (smallest label on ties)
-        best_gain, victim_idx = -1, 0
-        for idx, v in enumerate(members):
-            others = 0
-            for jdx, m in enumerate(masks):
-                if jdx != idx:
-                    others |= m
-            gain = (masks[idx] & ~others).bit_count()
+        # suffix[i] is the union of masks[i:]; with the running union of
+        # masks[:idx] it gives the union of all members but idx in O(1)
+        suffix = [0] * (k + 1)
+        for i in range(k - 1, -1, -1):
+            suffix[i] = suffix[i + 1] | masks[i]
+        total = suffix[0].bit_count()
+        # member whose removal sheds the most neighbors; ties go to the
+        # earliest position in members (unsorted once a swap has happened)
+        best_gain, victim_idx, base = -1, 0, 0
+        before = 0
+        for idx, m in enumerate(masks):
+            others = before | suffix[idx + 1]
+            gain = (m & ~others).bit_count()
             if gain > best_gain:
-                best_gain, victim_idx = gain, idx
-        base = 0
-        for jdx, m in enumerate(masks):
-            if jdx != victim_idx:
-                base |= m
+                best_gain, victim_idx, base = gain, idx, others
+            before |= m
+        outside = ~base
         in_set = set(members)
         best_add, candidate = math.inf, None
         for u in range(1, g.n + 1):
             if u in in_set:
                 continue
-            add = (g.masks[u - 1] & ~base).bit_count()
+            add = (g.masks[u - 1] & outside).bit_count()
             if add < best_add:
                 best_add, candidate = add, u
         if candidate is None or base.bit_count() + best_add >= total:
@@ -465,6 +468,8 @@ def graph_to_text(g: BipartiteGraph) -> str:
 
 def graph_from_text(text: str) -> BipartiteGraph:
     lines = [ln for ln in text.splitlines() if ln.strip() or ln == ""]
+    if not lines or not lines[0].strip():
+        raise ValueError("graph file has no header line")
     head = lines[0].split()
     if len(head) != 4:
         raise ValueError(f"malformed header: {lines[0]!r}")

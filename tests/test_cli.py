@@ -124,6 +124,25 @@ def test_check_expansion_on_explicit_graph(tmp_path, capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "no header line"),
+        ("\n   \n", "no header line"),
+        ("4 - -\n", "malformed header"),
+        ("4 - - -\n1 2\n", "expected 4 adjacency rows"),
+        ("2 - - -\n1 3\n2\n", "neighbor 3 of left vertex 1 outside 1..2"),
+    ],
+    ids=["empty", "blank", "short-header", "missing-rows", "label-out-of-range"],
+)
+def test_check_expansion_rejects_malformed_graph(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    assert main(["check-expansion", "--graph", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+
+
 def test_check_expansion_with_profile_file(tmp_path, capsys):
     graph = tmp_path / "complete.txt"
     graph.write_text(graph_to_text(complete_bipartite(8)))

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from superconc.profiles import alon_capalbo_profile, density253_constants, expansion_profile
 from superconc.randgraph import (
     BipartiteGraph,
+    _descend,
     EnumerationBudgetError,
     check_expander_profile,
     check_pair_profile,
@@ -220,6 +222,87 @@ def test_sampled_min_expansion_never_below_exact():
 def test_sampled_min_expansion_is_deterministic():
     g = sample_g(16, 3, 0.25, 8)
     assert sampled_min_expansion(g, 4, 25, 7) == sampled_min_expansion(g, 4, 25, 7)
+
+
+def test_sampled_min_expansion_rejects_zero_trials():
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        sampled_min_expansion(sample_g(10, 2, 0, 1), 3, 0, 0)
+
+
+@pytest.mark.parametrize(
+    "k, value, witness_sha256",
+    [
+        (147, 340, "41ffd4be87d654129b52d8ae61a4df88fc856c6b9e46085d46b7673d9fb5d8e4"),
+        (212, 442, "7ecef3a67ad7a7ce2514ef74e62b5016b37ae46bcdb9c787b31719f4e4b4195a"),
+    ],
+)
+def test_sampled_min_expansion_golden(k, value, witness_sha256):
+    g = sample_g(640, 5, Fraction(13, 40), 7, disjoint=True)
+    got, witness = sampled_min_expansion(g, k, 3, 11)
+    assert got == value
+    assert hashlib.sha256(repr(witness).encode()).hexdigest() == witness_sha256
+
+
+def _descend_reference(g, S):
+    """Quadratic descent step: for each member, OR the masks of all others."""
+    members = list(S)
+    while True:
+        masks = [g.masks[v - 1] for v in members]
+        total = 0
+        for m in masks:
+            total |= m
+        total = total.bit_count()
+        best_gain, victim_idx = -1, 0
+        for idx in range(len(members)):
+            others = 0
+            for jdx, m in enumerate(masks):
+                if jdx != idx:
+                    others |= m
+            gain = (masks[idx] & ~others).bit_count()
+            if gain > best_gain:
+                best_gain, victim_idx = gain, idx
+        base = 0
+        for jdx, m in enumerate(masks):
+            if jdx != victim_idx:
+                base |= m
+        best_add, candidate = math.inf, None
+        for u in range(1, g.n + 1):
+            if u in members:
+                continue
+            add = (g.masks[u - 1] & ~base).bit_count()
+            if add < best_add:
+                best_add, candidate = add, u
+        if candidate is None or base.bit_count() + best_add >= total:
+            return sorted(members), total
+        members[victim_idx] = candidate
+
+
+@st.composite
+def _graph_and_start(draw):
+    n = draw(st.integers(1, 40))
+    rows = draw(
+        st.lists(st.lists(st.integers(1, n), max_size=4), min_size=n, max_size=n)
+    )
+    k = draw(st.integers(1, n))
+    start = draw(st.permutations(range(1, n + 1)))[:k]
+    return BipartiteGraph(n, rows), start
+
+
+@settings(max_examples=200, deadline=None)
+@given(_graph_and_start())
+def test_descend_matches_quadratic_reference(case):
+    g, start = case
+    assert _descend(g, start) == _descend_reference(g, start)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 12).map(lambda h: 2 * (h // 2)), st.integers(1, 3), st.integers(0, 99), st.data())
+def test_min_pair_expansion_matches_brute_force(n, d, seed, data):
+    g = sample_g(n, d, 0, seed)
+    k = data.draw(st.integers(1, n))
+    # min keeps the first minimiser, and combinations come in lexicographic order
+    witness = min(itertools.combinations(range(1, n + 1), k), key=lambda S: pair_count(g, S))
+    assert min_pair_expansion(g, k) == (pair_count(g, witness), witness)
 
 
 def test_text_round_trip_sampled_and_explicit():
