@@ -10,11 +10,11 @@ import math
 import numpy as np
 
 from superconc.entropy import (
-    chord_lower,
+    chord_coefficients,
     entropy,
     log_binomial,
     stirling_gap,
-    tangent_upper,
+    tangent_coefficients,
 )
 
 # The entropy H(x) = -x ln x - (1-x) ln(1-x) is concave, symmetric around 1/2,
@@ -25,21 +25,24 @@ print("H(0.2301) =", entropy(0.2301))
 
 # A chord over [p, q] sits below H on that interval; a tangent sits above H
 # on all of [0, 1].  Sandwiching H between the two is what turns the curved
-# certification inequalities into affine ones on small cells.
+# certification inequalities into affine ones on small cells.  Both come as
+# (intercept, slope) pairs, elementwise over arrays, and both hold in float64:
+# the chord passes below H rounded down, the tangent's intercept is rounded up.
 lo, hi = 0.3, 0.4
-chord = chord_lower(lo, hi)
-tangent = tangent_upper(lo, hi)
+ca, cb = chord_coefficients(lo, hi)
+ta, tb = tangent_coefficients(lo, hi)
 print(f"\nenvelopes on [{lo}, {hi}]  (chord below, tangent above):")
 for x in np.linspace(lo, hi, 5):
     h = entropy(float(x))
-    print(f"  x={x:.3f}  chord={chord(x):.6f} <= H={h:.6f} <= tangent={tangent(x):.6f}")
+    print(f"  x={x:.3f}  chord={ca + cb * x:.6f} <= H={h:.6f} <= tangent={ta + tb * x:.6f}")
 
-# The tighter the interval, the tighter the sandwich.
-for width in (0.1, 0.01, 0.001):
-    mid = 0.35
-    c = chord_lower(mid - width / 2, mid + width / 2)
-    t = tangent_upper(mid - width / 2, mid + width / 2)
-    print(f"  width {width:<6} gap at midpoint: {t(mid) - c(mid):.3e}")
+# The tighter the interval, the tighter the sandwich; one call covers them all.
+mid = 0.35
+widths = np.array([0.1, 0.01, 0.001])
+ca, cb = chord_coefficients(mid - widths / 2, mid + widths / 2)
+ta, tb = tangent_coefficients(mid - widths / 2, mid + widths / 2)
+for width, gap in zip(widths, (ta + tb * mid) - (ca + cb * mid)):
+    print(f"  width {width:<6} gap at midpoint: {gap:.3e}")
 
 # log C(n, k) is within 2 ln(n)/n of n*H(k/n), per symbol.  That estimate
 # backs every probability bound in the package.

@@ -29,15 +29,14 @@ from .entropy import entropy
 # never import them.
 _EXPORTS = {
     "certifier": (
-        "CertReport", "DegreeCheck", "RatioCheckReport", "certify_expansion_inequality",
-        "certify_pair_inequality", "check_pairexp_degree", "direct_check_ratio",
+        "CertReport", "certify_expansion_inequality", "certify_pair_inequality",
     ),
     "construction": (
         "BuildConfig", "BuildError", "SuperDag", "VerifyReport", "build_gamma",
         "max_disjoint_paths", "verify_superconcentrator",
     ),
     "entropy": (
-        "LinearBound", "chord_lower", "entropy", "log_binomial", "stirling_gap", "tangent_upper",
+        "entropy", "log_binomial", "stirling_gap",
     ),
     "probability": (
         "BoundValue", "alpha_coefficients", "bassalygo_bound", "boolean_identity_check",

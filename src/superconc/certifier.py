@@ -1,25 +1,28 @@
 """Grid certification of the two entropy inequalities behind the fractional
-degree d = 5.325, plus direct (pointwise) checks of the closed-form degree
-conditions.
+degree d = 5.325.
 
 The certified inequalities compare sums of weighted entropy terms H(V) where
 every V is affine in the cell coordinates (x, y) or becomes affine after
 multiplying by its weight.  On each grid cell the left-hand terms are replaced
-by chords (below H on the enclosure of V) and the right-hand terms by midpoint
+by chords (below H on the enclosure of V) and the right-hand terms by
 tangents (above H everywhere), which strengthens the inequality into an affine
 one; an affine function attains its minimum over a convex cell polygon at an
 extreme point, so checking the corner points certifies the whole cell.
 
 Enclosures of the V expressions are interval images of the cell, truncated to
 [0, 1].  The slack recorded for a cell is the minimum over its corners of
-strengthened LHS minus strengthened RHS; certification requires every slack
-to clear the margin.
+strengthened LHS minus strengthened RHS, as computed in float64.  The scan is
+sound on its own: the envelopes hold in float64 (see
+:mod:`superconc._entropy_numeric`), chord ends computed in floats are widened
+by their rounding, and each cell carries a bound on the rounding of its
+slack (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3).  A
+cell passes when its slack minus that bound clears the margin.
 
 Each inequality and the corner rule are written once against a number
-backend: float64 over one x-cell and a numpy row of y-cells, or mpmath over
-one cell.  The optional recheck (``confirm``) re-evaluates at 113 bits exactly
-the scanned float64 cells whose slack is below ten times the margin, with the
-scan's float64 cell endpoints converted exactly to mpf.
+backend: float64 over one x-cell and a numpy row of y-cells, or mpmath
+interval arithmetic over one cell.  The optional spot check (``confirm``)
+encloses the slack of the scan's minimum cell in every x-interval with the
+latter, at 113 bits; mpmath is imported only then.
 """
 
 from __future__ import annotations
@@ -32,11 +35,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from types import SimpleNamespace
 
-import mpmath
 import numpy as np
 
-from ._entropy_numeric import chord_coefficients, entropy_mp, tangent_coefficients
-from .entropy import entropy
+from ._entropy_numeric import U, chord_coefficients, entropy_lower, tangent_coefficients
 from .profiles import (
     PiecewiseLinear,
     ProfileConstants,
@@ -49,15 +50,18 @@ __all__ = [
     "CertReport",
     "certify_pair_inequality",
     "certify_expansion_inequality",
-    "RatioCheckReport",
-    "direct_check_ratio",
-    "DegreeCheck",
-    "check_pairexp_degree",
 ]
 
 _FAIL_CAP = 10_000
-_NEAR_CAP = 200_000  # per x-interval
 _RECHECK_BITS = 113
+
+# Forming a cell's slack rounds any product of inputs fewer than _ROUNDINGS
+# times: at most three times for the product, once per term of a coefficient
+# sum, and three times at a corner (B*x, then two additions).  gamma_n =
+# n*u/(1 - n*u) bounds the relative effect on each product (Higham, Lemma
+# 3.1); the factor 2 also covers rounding in the bound and in subtracting it.
+_ROUNDINGS = 16
+_GAMMA = 2 * _ROUNDINGS * U / (1 - _ROUNDINGS * U)
 
 
 @dataclass
@@ -74,6 +78,7 @@ class CertReport:
     cells_checked: int
     failing_cells: list  # [(interval, i, j, slack)], ascending, capped
     failing_count: int
+    error_bound: float  # largest per-cell bound on the rounding of the slack
     runtime_seconds: float
     recheck: dict | None = None
 
@@ -91,6 +96,7 @@ class CertReport:
             "grid": self.grid,
             "margin": self.margin,
             "min_slack": self.min_slack,
+            "error_bound": self.error_bound,
             "argmin_cell": list(self.argmin_cell),
             "corners_evaluated": self.corners_evaluated,
             "cells_checked": self.cells_checked,
@@ -103,12 +109,21 @@ class CertReport:
         return out
 
 
+def _outward(lo, hi, spread):
+    """Widen float ends lo <= hi of x/e(x), e = ea + eb*x, to enclose the
+    exact range: forming e errs by 2u*spread relative, spread = (|ea| +
+    |eb|x)/e, and the division by u more.  The widening is twice that."""
+    w = (4 * spread + 4) * U
+    return lo * (1 - w), min(hi * (1 + w), 1.0)
+
+
 # float64 backend: x quantities are floats, y quantities numpy rows.  chord and
 # tangent look up the module-level names at each call, so a wrapper installed
 # on them (as the benchmark tracer does) sees every call.
 _F64 = SimpleNamespace(
-    chord=lambda lo, hi: chord_coefficients(lo, hi),
+    chord=lambda *ends: chord_coefficients(*ends),
     tangent=lambda lo, hi: tangent_coefficients(lo, hi),
+    outward=_outward,
     clip=lambda v: np.clip(v, 0.0, 1.0),
     minimum=np.minimum,
     maximum=np.maximum,
@@ -117,55 +132,110 @@ _F64 = SimpleNamespace(
 )
 
 
-def _mp_chord(lo, hi):
-    h_lo = entropy_mp(lo)
-    if hi == lo:
-        return h_lo, mpmath.mpf(0)
-    slope = (entropy_mp(hi) - h_lo) / (hi - lo)
+def _iv_entropy(v):
+    """Enclosure of H at the point v."""
+    from mpmath import iv
+
+    v = iv.mpf(v)
+    if v == 0 or v == 1:
+        return iv.mpf(0)
+    return -v * iv.log(v) - (1 - v) * iv.log(1 - v)
+
+
+def _iv_chord(lo, hi, h_lo=None, h_hi=None):
+    """Exact chord of H from the lower end of lo to the upper end of hi.
+
+    Inside (0, 1) the slope enclosure is cut down to H' over the interval
+    (mean value theorem), which stays tight on intervals so narrow that the
+    difference quotient of two enclosures does not."""
+    from mpmath import iv
+
+    lo, hi = iv.mpf(lo).a, iv.mpf(hi).b
+    h_lo = _iv_entropy(lo) if h_lo is None else h_lo
+    h_hi = _iv_entropy(hi) if h_hi is None else h_hi
+    if lo == hi:
+        return h_lo, iv.mpf(0)
+    slope = (h_hi - h_lo) / (hi - lo)
+    if 0 < lo and hi < 1:
+        span = iv.mpf([lo, hi])
+        mvt = iv.log((1 - span) / span)
+        slope = iv.mpf([max(slope.a, mvt.a), min(slope.b, mvt.b)])
     return h_lo - slope * lo, slope
 
 
-def _mp_tangent(lo, hi):
-    m = (lo + hi) / 2
-    if m <= 0 or m >= 1:
-        return mpmath.mpf(0), mpmath.mpf(0)
-    slope = mpmath.log((1 - m) / m)
-    return entropy_mp(m) - slope * m, slope
+def _iv_tangent(lo, hi):
+    """Exact tangent of H at a point near the middle of the enclosures."""
+    from mpmath import iv
+
+    m = ((iv.mpf(lo) + iv.mpf(hi)) / 2).mid
+    if not 0 < m < 1:
+        return iv.mpf(0), iv.mpf(0)
+    slope = iv.log((1 - m) / m)
+    return iv.log(1 + iv.exp(-slope)), slope
 
 
-# mpmath backend: every quantity is an mpf scalar at the working precision.
-_MP = SimpleNamespace(
-    chord=_mp_chord,
-    tangent=_mp_tangent,
-    clip=lambda v: min(max(v, mpmath.mpf(0)), mpmath.mpf(1)),
-    minimum=min,
-    maximum=max,
+def _iv_pick(pick):
+    """Min or max of two enclosures, taken end by end."""
+
+    def f(a, b):
+        from mpmath import iv
+
+        a, b = iv.mpf(a), iv.mpf(b)
+        return iv.mpf([pick(a.a, b.a), pick(a.b, b.b)])
+
+    return f
+
+
+_iv_min, _iv_max = _iv_pick(min), _iv_pick(max)
+
+
+def _iv_log(v):
+    from mpmath import iv
+
+    return iv.log(v)
+
+
+# mpmath interval backend: every quantity is an interval enclosing its exact
+# value; cell coordinates are points, so comparing them is exact.
+_IV = SimpleNamespace(
+    chord=_iv_chord,
+    tangent=_iv_tangent,
+    outward=lambda lo, hi, spread: (lo, hi),
+    clip=lambda v: _iv_min(_iv_max(v, 0), 1),
+    minimum=_iv_min,
+    maximum=_iv_max,
     where=lambda cond, a, b: a if cond else b,
-    log=mpmath.log,
+    log=_iv_log,
 )
 
 
 def _corner_min(nb, A, B, C, x_min, x_max, y_min, y_max):
-    """Minimum of A + B*x + C*y over the extreme points of each feasible cell
-    (y_min <= x_max) clipped to y <= x, and the mask of cells whose diagonal
-    crosses the left edge, adding the vertex (x_min, x_min) to four corners."""
+    """Minimum of a + b*x + c*y, with a, b, c the sums of the product lists
+    A, B, C, over the extreme points of each feasible cell (y_min <= x_max)
+    clipped to y <= x; the mask of cells whose diagonal crosses the left edge,
+    adding the vertex (x_min, x_min) to four corners; and a bound on the
+    rounding error of each minimum, gamma_n times the sum of the absolute
+    products (coordinates are nonnegative)."""
+    a, b, c = sum(A), sum(B), sum(C)
     y_hi = nb.minimum(y_max, x_max)
-    s1 = A + B * nb.maximum(x_min, y_min) + C * y_min
-    s2 = A + B * x_max + C * y_min
-    s3 = A + B * nb.maximum(x_min, y_hi) + C * y_hi
-    s4 = A + B * x_max + C * y_hi
+    s1 = a + b * nb.maximum(x_min, y_min) + c * y_min
+    s2 = a + b * x_max + c * y_min
+    s3 = a + b * nb.maximum(x_min, y_hi) + c * y_hi
+    s4 = a + b * x_max + c * y_hi
     sl = nb.minimum(nb.minimum(s1, s2), nb.minimum(s3, s4))
     extra = (y_min < x_min) & (x_min < y_hi)
     if np.any(extra):
-        s5 = A + B * x_min + C * x_min
+        s5 = a + b * x_min + c * x_min
         sl = nb.where(extra, nb.minimum(sl, s5), sl)
-    return sl, extra
+    size = sum(map(abs, A)) + sum(map(abs, B)) * x_max + sum(map(abs, C)) * y_max
+    return sl, extra, _GAMMA * size
 
 
-def _pair_slack(nb, x_min, x_max, y_min, y_max, delta, p):
-    """Corner-minimum slack of the strengthened pair inequality (gamma = 1)."""
-    c1a, c1b = nb.chord(x_min, x_max)                    # H(x), lower
-    c2a, c2b = nb.chord(y_min, y_max)                    # H(y), lower
+def _pair_slack(nb, x_min, x_max, y_min, y_max, h, delta, p):
+    """Corner-minimum slack of the strengthened pair inequality (gamma = 1);
+    h holds lower bounds on H at x_min, x_max, y_min, y_max."""
+    c1a, c1b = nb.chord(x_min, x_max, h[0], h[1])        # H(x), lower
+    c2a, c2b = nb.chord(y_min, y_max, h[2], h[3])        # H(y), lower
     t3a, t3b = nb.tangent(                               # H(y/delta), upper
         nb.minimum(y_min / delta, 1), nb.minimum(y_max / delta, 1)
     )
@@ -173,22 +243,23 @@ def _pair_slack(nb, x_min, x_max, y_min, y_max, delta, p):
         nb.clip((x_min - y_max) / (1 - delta)), nb.clip((x_max - y_min) / (1 - delta))
     )
     t5a, t5b = nb.tangent(nb.clip(y_min / x_max), nb.clip(y_max / x_min))  # H(y/x), upper
-    # strengthened LHS - RHS = A + B*x + C*y
-    A = (1 - p) * c1a + c2a - delta * t3a - (1 - delta) * t4a
-    B = (1 - p) * c1b + 2 * p * nb.log(2) - t4b - t5a
-    C = c2b - t3b + t4b - t5b
+    # strengthened LHS - RHS = A + B*x + C*y, each coefficient a sum of products
+    A = [(1 - p) * c1a, c2a, -delta * t3a, -(1 - delta) * t4a]
+    B = [(1 - p) * c1b, 2 * p * nb.log(2), -t4b, -t5a]
+    C = [c2b, -t3b, t4b, -t5b]
     return _corner_min(nb, A, B, C, x_min, x_max, y_min, y_max)
 
 
-def _expansion_slack(nb, x_min, x_max, y_min, y_max, delta, boost, ea, eb):
+def _expansion_slack(nb, x_min, x_max, y_min, y_max, h, delta, boost, ea, eb):
     """Corner-minimum slack of the strengthened expansion inequality, with
-    e(x) = ea + eb*x affine on the whole x-interval."""
+    e(x) = ea + eb*x affine on the whole x-interval; h as for _pair_slack."""
     e_min = ea + eb * x_min
     e_max = ea + eb * x_max
-    c1a, c1b = nb.chord(x_min, x_max)                    # H(x), lower
+    c1a, c1b = nb.chord(x_min, x_max, h[0], h[1])        # H(x), lower
     r0, r1 = x_min / e_min, x_max / e_max                # x/e(x) is monotone on the cell
-    c2a, c2b = nb.chord(min(r0, r1), max(r0, r1))
-    c3a, c3b = nb.chord(y_min, y_max)                    # H(y), lower
+    spread = (abs(ea) + abs(eb) * x_max) / e_min
+    c2a, c2b = nb.chord(*nb.outward(nb.minimum(r0, r1), nb.maximum(r0, r1), spread))
+    c3a, c3b = nb.chord(y_min, y_max, h[2], h[3])        # H(y), lower
     t4a, t4b = nb.tangent(                               # H(y/delta), upper
         nb.minimum(y_min / delta, 1), nb.minimum(y_max / delta, 1)
     )
@@ -196,9 +267,9 @@ def _expansion_slack(nb, x_min, x_max, y_min, y_max, delta, boost, ea, eb):
         nb.clip((x_min - y_max) / (1 - delta)), nb.clip((x_max - y_min) / (1 - delta))
     )
     t6a, t6b = nb.tangent(nb.clip(y_min / e_max), nb.clip(y_max / e_min))  # H(y/e(x)), upper
-    A = (1 - boost) * c1a + boost * c2a * ea + c3a - delta * t4a - (1 - delta) * t5a - t6a * ea
-    B = (1 - boost) * c1b + boost * (c2a * eb + c2b) - t5b - t6a * eb
-    C = c3b - t4b + t5b - t6b
+    A = [(1 - boost) * c1a, boost * c2a * ea, c3a, -delta * t4a, -(1 - delta) * t5a, -t6a * ea]
+    B = [(1 - boost) * c1b, boost * c2a * eb, boost * c2b, -t5b, -t6a * eb]
+    C = [c3b, -t4b, t5b, -t6b]
     return _corner_min(nb, A, B, C, x_min, x_max, y_min, y_max)
 
 
@@ -224,38 +295,39 @@ def _certify(lemma, params, weight, slack_fn, slack_args, intervals,
         if float(hi) + delta - 1.0 > 0.0:
             raise ValueError("the lower constraint y >= x + delta - 1 would become active")
 
-    near_cut = 10.0 * margin
-    min_slack, argmin, corners, fail_count = math.inf, None, 0, 0
-    failing, near, grids = [], [], []
+    min_slack, argmin, corners, fail_count, error_bound = math.inf, None, 0, 0, 0.0
+    failing, spots = [], []
     with open(slack_csv, "w", newline="") if slack_csv else contextlib.nullcontext() as fh:
         writer = csv.writer(fh) if fh else None
         for idx, (lo, hi) in enumerate(intervals):
             args = slack_args(lo, hi)
             xs = np.linspace(float(lo), float(hi), grid_n + 1)
-            grids.append((xs, args))
-            near_start = len(near)
+            hx = entropy_lower(xs)
+            spot = (math.inf, None, None)  # (slack, (i, j), cell) of the interval's minimum
             for i in range(grid_n):
                 x_min, x_max = float(xs[i]), float(xs[i + 1])
                 ys = np.linspace(0.0, min(x_max, delta), grid_n + 1)
-                sl, extra = slack_fn(_F64, x_min, x_max, ys[:-1], ys[1:], *args)
+                hy = entropy_lower(ys)
+                sl, extra, err = slack_fn(
+                    _F64, x_min, x_max, ys[:-1], ys[1:], (hx[i], hx[i + 1], hy[:-1], hy[1:]), *args
+                )
                 corners += 4 * grid_n + int(np.count_nonzero(extra))
+                error_bound = max(error_bound, float(np.max(err)))
                 j = int(np.argmin(sl))
-                if sl[j] < min_slack:
-                    min_slack = float(sl[j])
-                    argmin = (idx, i, j)
-                bad = np.nonzero(sl < margin)[0]
+                if sl[j] < spot[0]:
+                    spot = (float(sl[j]), (i, j), (x_min, x_max, float(ys[j]), float(ys[j + 1])))
+                bad = np.nonzero(sl - err < margin)[0]
                 fail_count += len(bad)
                 failing.extend(
                     (idx, i, int(jb), float(sl[jb])) for jb in bad[: _FAIL_CAP - len(failing)]
                 )
-                close = np.nonzero(sl < near_cut)[0]
-                near.extend(
-                    (idx, i, int(jc)) for jc in close[: _NEAR_CAP - (len(near) - near_start)]
-                )
                 if writer:
                     writer.writerows([idx, i, k, repr(float(s))] for k, s in enumerate(sl))
+            if spot[0] < min_slack:
+                min_slack, argmin = spot[0], (idx, *spot[1])
+            spots.append((spot[2], args))
 
-    recheck = _recheck(near, grids, slack_fn, delta, grid_n, margin) if confirm else None
+    recheck = _recheck(spots, slack_fn, margin) if confirm else None
     return CertReport(
         lemma=lemma,
         params=params,
@@ -267,30 +339,36 @@ def _certify(lemma, params, weight, slack_fn, slack_args, intervals,
         cells_checked=len(intervals) * grid_n * grid_n,
         failing_cells=failing,
         failing_count=fail_count,
+        error_bound=error_bound,
         runtime_seconds=time.perf_counter() - t0,
         recheck=recheck,
     )
 
 
-def _recheck(cells, grids, slack_fn, delta, grid_n, margin) -> dict:
-    """Re-evaluate the scanned cells (interval, i, j) in mpmath, rebuilding
-    each row's y-grid as the scan built it; float64 inputs convert exactly."""
-    mpf = mpmath.mpf
-    worst = None
-    with mpmath.workprec(_RECHECK_BITS):
-        for idx, i, j in cells:
-            xs, args = grids[idx]
-            ys = np.linspace(0.0, min(float(xs[i + 1]), delta), grid_n + 1)
-            sl, _ = slack_fn(
-                _MP, mpf(float(xs[i])), mpf(float(xs[i + 1])),
-                mpf(float(ys[j])), mpf(float(ys[j + 1])), *(mpf(a) for a in args),
-            )
-            worst = sl if worst is None else min(worst, sl)
+def _iv_slack(slack_fn, cell, args):
+    """Interval enclosure, at _RECHECK_BITS bits, of ``slack_fn`` on one cell
+    (x_min, x_max, y_min, y_max) with trailing arguments ``args``; the float64
+    coordinates and arguments convert exactly."""
+    from mpmath import iv
+
+    prec, iv.prec = iv.prec, _RECHECK_BITS
+    try:
+        cell = [iv.mpf(v) for v in cell]
+        h = tuple(_iv_entropy(v) for v in cell)
+        return slack_fn(_IV, *cell, h, *(iv.mpf(a) for a in args))[0]
+    finally:
+        iv.prec = prec
+
+
+def _recheck(cells, slack_fn, margin) -> dict:
+    """Enclose the slack of each (cell, args) in mpmath.iv; the lower ends
+    must clear the margin."""
+    worst = min(_iv_slack(slack_fn, cell, args).a for cell, args in cells)
     return {
         "cells": len(cells),
         "precision_bits": _RECHECK_BITS,
-        "min_slack": None if worst is None else float(worst),
-        "all_clear": worst is None or bool(worst >= margin),
+        "min_slack": float(worst),
+        "all_clear": bool(worst >= margin),
     }
 
 
@@ -378,100 +456,3 @@ def certify_expansion_inequality(
         "boost", _expansion_slack, lambda lo, hi: (delta, boost) + _segment_for(profile, lo, hi),
         x_intervals, grid_n, margin, confirm, slack_csv,
     )
-
-
-@dataclass(frozen=True)
-class RatioCheckReport:
-    """Pointwise minimum slack of a degree requirement over an alpha grid.
-
-    This scan evaluates the requirement at grid points only; unlike the cell
-    certification above it proves nothing between them.
-    """
-
-    kind: str
-    d_plus_c: float
-    alpha_range: tuple
-    grid_n: int
-    min_slack: float
-    argmin_alpha: float
-    certified: bool = False
-
-    @property
-    def passed(self) -> bool:
-        return self.min_slack > 0.0
-
-
-def direct_check_ratio(
-    d_plus_c: float,
-    *,
-    profile: PiecewiseLinear | None = None,
-    gamma=None,
-    alpha_range,
-    grid_n: int = 1000,
-) -> RatioCheckReport:
-    """Evaluate d_plus_c minus the governing entropy ratio on a grid.
-
-    With ``profile`` the ratio is (H(a) + H(e(a))) / (H(a) - H(a/e(a))*e(a));
-    with ``gamma`` it is (H(a) + H(2*gamma*a)/2) / (H(a) - 2*gamma*a*H(1/(2*gamma))).
-    The denominator must be positive on the whole grid, otherwise the check is
-    rejected as ill-posed.
-    """
-    if (profile is None) == (gamma is None):
-        raise ValueError("give exactly one of profile or gamma")
-    lo, hi = float(alpha_range[0]), float(alpha_range[1])
-    if not 0.0 < lo <= hi < 1.0:
-        raise ValueError(f"alpha range [{lo}, {hi}] must be inside (0, 1)")
-    alphas = np.linspace(lo, hi, grid_n + 1)
-    h_a = entropy(alphas)
-    if profile is not None:
-        e_vals = np.asarray([float(profile.eval(a)) for a in alphas])
-        if np.any(e_vals <= alphas) or np.any(e_vals > 1.0):
-            raise ValueError("profile must satisfy alpha < e(alpha) <= 1 on the range")
-        numer = h_a + entropy(e_vals)
-        denom = h_a - entropy(alphas / e_vals) * e_vals
-        kind = "expansion"
-    else:
-        gamma = float(gamma)
-        if gamma < 0.5:
-            raise ValueError(f"gamma={gamma} must be at least 1/2")
-        if 2.0 * gamma * hi > 1.0:
-            raise ValueError(f"need 2*gamma*alpha <= 1 on the range, got {2 * gamma * hi}")
-        numer = h_a + 0.5 * entropy(2.0 * gamma * alphas)
-        denom = h_a - 2.0 * gamma * alphas * entropy(1.0 / (2.0 * gamma))
-        kind = "pair"
-    if np.any(denom <= 0.0):
-        bad = float(alphas[int(np.argmin(denom))])
-        raise ValueError(f"nonpositive denominator near alpha={bad}; requirement ill-posed there")
-    slack = d_plus_c - numer / denom
-    j = int(np.argmin(slack))
-    return RatioCheckReport(
-        kind=kind,
-        d_plus_c=float(d_plus_c),
-        alpha_range=(lo, hi),
-        grid_n=grid_n,
-        min_slack=float(slack[j]),
-        argmin_alpha=float(alphas[j]),
-    )
-
-
-@dataclass(frozen=True)
-class DegreeCheck:
-    passed: bool
-    slack: float
-    threshold: float
-
-
-def check_pairexp_degree(d, gamma, eps1) -> DegreeCheck:
-    """Check d > 1 + gamma*(1-eps1)/(1-2*gamma*eps1) in exact arithmetic.
-
-    The threshold has a pole at 2*gamma*eps1 = 1; arguments at or past it are
-    rejected.
-    """
-    d = as_fraction(d)
-    gamma = as_fraction(gamma)
-    eps1 = as_fraction(eps1)
-    if 2 * gamma * eps1 >= 1:
-        raise ValueError(f"2*gamma*eps1 = {2 * gamma * eps1} >= 1: threshold diverges")
-    threshold = 1 + gamma * (1 - eps1) / (1 - 2 * gamma * eps1)
-    slack = d - threshold
-    return DegreeCheck(passed=slack > 0, slack=float(slack), threshold=float(threshold))

@@ -16,8 +16,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-# certifier and construction load numpy, scipy and mpmath; only the commands
-# that use them import them.
+# certifier loads numpy and scipy.special, and a flow query in construction
+# numpy and scipy.sparse; only the commands that use them import them.
 from . import probability, profiles, randgraph
 from .entropy import stirling_gap
 
@@ -284,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--x-max", type=float, default=0.3322)
     sub.add_argument("--grid", type=int, default=1000)
     sub.add_argument("--margin", type=float, default=0.0001)
-    sub.add_argument("--confirm", action="store_true", help="recheck near-margin cells at high precision")
+    sub.add_argument("--confirm", action="store_true", help="enclose each x-interval's minimum cell in 113-bit interval arithmetic")
     sub.add_argument("--slack-csv", help="dump per-cell slacks to this CSV path")
     _add_output(sub)
     sub.set_defaults(func=_cmd_certify_pair)
@@ -299,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--x-max", type=float, default=0.48)
     sub.add_argument("--grid", type=int, default=1000)
     sub.add_argument("--margin", type=float, default=0.0001)
-    sub.add_argument("--confirm", action="store_true", help="recheck near-margin cells at high precision")
+    sub.add_argument("--confirm", action="store_true", help="enclose each x-interval's minimum cell in 113-bit interval arithmetic")
     sub.add_argument("--slack-csv", help="dump per-cell slacks to this CSV path")
     _add_output(sub)
     sub.set_defaults(func=_cmd_certify_expansion)

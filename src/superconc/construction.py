@@ -24,10 +24,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_flow
-
 from .profiles import PiecewiseLinear, as_fraction, density253_constants, expansion_profile
 from .randgraph import (
     DEFAULT_BUDGET,
@@ -406,6 +402,10 @@ class _FlowSolver:
     """
 
     def __init__(self, dag: SuperDag):
+        # numpy and scipy load with the first flow oracle and its first
+        # query, so building a dag (build-sc) never imports them
+        import numpy as np
+
         self.dag = dag
         nv = dag.num_nodes
         self.size = 2 * nv + 2
@@ -415,6 +415,10 @@ class _FlowSolver:
         self.base_cols = np.asarray(cols, dtype=np.int32)
 
     def query(self, S, T) -> int:
+        import numpy as np
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import maximum_flow
+
         s_rows = np.zeros(len(S), dtype=np.int32)
         s_cols = np.asarray([2 + 2 * v for v in S], dtype=np.int32)
         t_rows = np.asarray([3 + 2 * v for v in T], dtype=np.int32)

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .entropy import log_binomial
 from .profiles import as_fraction
-from .randgraph import derive_seed, min_expansion, min_pair_expansion, sample_g
+from .randgraph import derive_seed, min_expansion, sample_g
 
 __all__ = [
     "EXACT_LIMIT",
@@ -34,7 +34,6 @@ __all__ = [
     "boolean_identity_check",
     "montecarlo_plr",
     "empirical_expansion_failure",
-    "empirical_pair_failure",
     "plr_table",
 ]
 
@@ -286,20 +285,6 @@ def empirical_expansion_failure(
     for s in range(samples):
         g = sample_g(N, d, delta, derive_seed("emp-exp", seed, s))
         value, _ = min_expansion(g, k, budget)
-        if value < m:
-            failures += 1
-    return failures / samples, failures, samples
-
-
-def empirical_pair_failure(
-    N: int, d: int, delta, k: int, m: int, samples: int, seed: int, budget: int = 10_000_000
-):
-    """Frequency, over seeded graph samples, of some k-subset touching fewer
-    than m right pairs.  Returns (frequency, failures, samples)."""
-    failures = 0
-    for s in range(samples):
-        g = sample_g(N, d, delta, derive_seed("emp-pair", seed, s))
-        value, _ = min_pair_expansion(g, k, budget)
         if value < m:
             failures += 1
     return failures / samples, failures, samples

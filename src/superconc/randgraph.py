@@ -151,7 +151,10 @@ def sample_g(n: int, d: int, delta, seed: int, *, disjoint: bool = False) -> Bip
     Permutation j is drawn from its own substream keyed by (seed, j).  With
     ``disjoint=True`` each permutation is redrawn until it collides neither
     with the previous ones nor, on the pinned positions, with the diagonal,
-    which makes the edge count exactly d*n + floor(delta*n).
+    which makes the edge count exactly d*n + floor(delta*n).  Such
+    permutations exist exactly when d <= n, or d <= n - 1 once an edge is
+    pinned (the cyclic shifts attain both); other requests, and draws that
+    exhaust the redraw cap, raise ValueError.
     """
     if n < 1 or d < 1:
         raise ValueError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
@@ -159,6 +162,11 @@ def sample_g(n: int, d: int, delta, seed: int, *, disjoint: bool = False) -> Bip
     if not 0 <= delta <= 1:
         raise ValueError(f"delta={delta} outside [0, 1]")
     pinned = math.floor(delta * n)
+    if disjoint and d > n - (pinned > 0):
+        raise ValueError(
+            f"no {d} disjoint permutations of {n} avoid the {pinned} pinned edges; "
+            f"the disjoint mode needs d <= {n - (pinned > 0)}"
+        )
 
     masks = [0] * n
     taken = [0] * n  # per-position mask of already used right labels (disjoint mode)
@@ -174,9 +182,9 @@ def sample_g(n: int, d: int, delta, seed: int, *, disjoint: bool = False) -> Bip
             if ok:
                 break
         else:
-            raise RuntimeError(
+            raise ValueError(
                 f"could not draw permutation {j + 1} of {d} avoiding the previous "
-                f"ones at n={n}; the disjoint mode needs d well below n"
+                f"ones at n={n} in {_MAX_RESAMPLE} tries; the disjoint mode needs d well below n"
             )
         for i in range(n):
             bit = 1 << (perm[i] - 1)
@@ -479,7 +487,25 @@ def graph_from_text(text: str) -> BipartiteGraph:
     else:
         provenance = (int(head[3]), int(head[1]), Fraction(head[2]))
     rows = [[int(t) for t in ln.split()] for ln in lines[1 : n + 1]]
-    return BipartiteGraph(n, rows, provenance)
+    if any(ln.strip() for ln in lines[n + 1 :]):
+        raise ValueError(f"unexpected text after the {n} adjacency rows")
+    g = BipartiteGraph(n, rows, provenance)
+    if provenance != EXPLICIT and not _is_sampled(g):
+        raise ValueError(
+            f"rows differ from the graph sample_g draws for the header {lines[0].strip()!r}"
+        )
+    return g
+
+
+def _is_sampled(g: BipartiteGraph) -> bool:
+    """Whether sample_g, in plain or disjoint mode, draws g from its provenance."""
+    seed, d, delta = g.provenance
+    if sample_g(g.n, d, delta, seed).masks == g.masks:
+        return True
+    try:
+        return sample_g(g.n, d, delta, seed, disjoint=True).masks == g.masks
+    except ValueError:  # no disjoint draw exists for this header
+        return False
 
 
 def graph_to_dot(g: BipartiteGraph, name: str = "expander") -> str:

@@ -1,27 +1,27 @@
+import csv
 import hashlib
 import json
 import random
-from fractions import Fraction
 
-import mpmath
 import numpy as np
 import pytest
+from mpmath import iv
 
 from superconc.certifier import (
     _F64,
-    _MP,
+    _IV,
     _corner_min,
+    _expansion_slack,
+    _iv_chord,
+    _iv_slack,
+    _iv_tangent,
+    _pair_slack,
+    _segment_for,
     certify_expansion_inequality,
     certify_pair_inequality,
-    check_pairexp_degree,
-    direct_check_ratio,
 )
-from superconc.entropy import chord_lower, entropy, tangent_upper
-from superconc.profiles import (
-    PiecewiseLinear,
-    density253_constants,
-    expansion_profile,
-)
+from superconc.entropy import entropy
+from superconc.profiles import density253_constants, expansion_profile
 
 C = density253_constants()
 PROFILE = expansion_profile(C)
@@ -31,19 +31,23 @@ PROFILE = expansion_profile(C)
 
 
 def _corner_min_both(A, B, Cc, x_min, x_max, y_min, y_max):
-    """_corner_min on one cell with both backends; asserts that they agree and
+    """_corner_min on one cell with both backends; asserts that the interval
+    enclosure holds the float64 minimum to within its rounding bound and
     returns (slack, extra)."""
-    sl, extra = _corner_min(
-        _F64, A, B, Cc, x_min, x_max, np.array([y_min]), np.array([y_max])
+    sl, extra, err = _corner_min(
+        _F64, [A], [B], [Cc], x_min, x_max, np.array([y_min]), np.array([y_max])
     )
-    with mpmath.workprec(113):
-        mpf = mpmath.mpf
-        sl_mp, extra_mp = _corner_min(
-            _MP, mpf(A), mpf(B), mpf(Cc), mpf(x_min), mpf(x_max), mpf(y_min), mpf(y_max)
+    prec, iv.prec = iv.prec, 113
+    try:
+        sl_iv, extra_iv, _ = _corner_min(
+            _IV, [iv.mpf(A)], [iv.mpf(B)], [iv.mpf(Cc)], x_min, x_max, y_min, y_max
         )
-    assert bool(extra[0]) == extra_mp
-    assert float(sl_mp) == pytest.approx(float(sl[0]), abs=1e-12)
-    return float(sl[0]), extra_mp
+    finally:
+        iv.prec = prec
+    assert bool(extra[0]) == extra_iv
+    assert sl_iv.a - err[0] <= sl[0] <= sl_iv.b + err[0]
+    assert float(sl_iv.b - sl_iv.a) < 1e-30
+    return float(sl[0]), extra_iv
 
 
 def test_corner_points_straddling_cell():
@@ -108,6 +112,19 @@ def test_pair_certification_fails_when_margin_exceeds_min_slack():
     assert worst == pytest.approx(base.min_slack, abs=1e-15)
 
 
+def test_pair_certification_subtracts_each_cells_rounding_bound():
+    # a cell passes only when its slack minus its own rounding bound clears
+    # the margin, so the minimum cell fails a margin equal to its slack
+    base = certify_pair_inequality(grid_n=100)
+    assert 0.0 < base.error_bound < 1e-10
+    at = certify_pair_inequality(grid_n=100, margin=base.min_slack)
+    assert not at.passed
+    assert at.failing_count == 1
+    assert at.failing_cells == [(0, *base.argmin_cell[1:], base.min_slack)]
+    below = certify_pair_inequality(grid_n=100, margin=base.min_slack - 1e-9)
+    assert below.passed and below.failing_count == 0
+
+
 def test_pair_certification_validation():
     with pytest.raises(ValueError):
         certify_pair_inequality(gamma=0.75)
@@ -161,33 +178,77 @@ def test_pair_high_precision_recheck_confirms():
     base = certify_pair_inequality(grid_n=60)
     report = certify_pair_inequality(grid_n=60, margin=base.min_slack / 2, confirm=True)
     assert report.recheck is not None
-    assert report.recheck["cells"] > 0
+    assert report.recheck["cells"] == 1
     assert report.recheck["all_clear"] is True
-    assert report.recheck["min_slack"] == pytest.approx(base.min_slack, abs=1e-9)
+    assert report.recheck["min_slack"] == pytest.approx(base.min_slack, abs=base.error_bound)
     assert report.passed
 
 
-def test_pair_recheck_skips_when_no_cell_is_close():
-    report = certify_pair_inequality(grid_n=60, confirm=True)  # margin far below slack
+def test_pair_recheck_encloses_one_cell_per_interval():
+    base = certify_pair_inequality(grid_n=60)
+    report = certify_pair_inequality(grid_n=60, confirm=True)
     assert report.recheck == {
-        "cells": 0,
+        "cells": 1,
         "precision_bits": 113,
-        "min_slack": None,
+        "min_slack": pytest.approx(base.min_slack, abs=base.error_bound),
         "all_clear": True,
     }
+    # the enclosure is judged against the margin on its own
+    high = certify_pair_inequality(grid_n=60, margin=base.min_slack + 1e-6, confirm=True)
+    assert high.recheck["all_clear"] is False and not high.passed
 
 
-def test_recheck_covers_exactly_the_near_margin_cells(tmp_path):
-    base = certify_pair_inequality(grid_n=100)
-    margin = base.min_slack / 2
+def _cells(path):
+    with open(path, newline="") as fh:
+        return {(int(a), int(i), int(j)): float(s) for a, i, j, s in csv.reader(fh)}
+
+
+def test_recheck_covers_exactly_the_argmin_cells(tmp_path):
+    # one cell per x-interval: the interval's minimum in the scan
     path = tmp_path / "slacks.csv"
-    report = certify_pair_inequality(
-        grid_n=100, margin=margin, confirm=True, slack_csv=str(path)
-    )
-    slacks = [float(r.split(",")[3]) for r in path.read_text().splitlines()]
-    assert report.recheck["cells"] == sum(s < 10 * margin for s in slacks) > 0
-    assert report.recheck["min_slack"] == pytest.approx(base.min_slack, abs=1e-12)
+    report = certify_expansion_inequality(grid_n=30, confirm=True, slack_csv=str(path))
+    slacks = _cells(path)
+    minima = [min(s for (a, _, _), s in slacks.items() if a == idx) for idx in range(4)]
+    assert report.recheck["cells"] == 4
+    assert min(minima) == report.min_slack
+    assert report.recheck["min_slack"] == pytest.approx(min(minima), abs=report.error_bound)
     assert report.recheck["all_clear"] is True
+
+
+def _cell_args(lemma, report, idx, i, j):
+    """The float64 cell (x_min, x_max, y_min, y_max) the scan built for (idx,
+    i, j), and its slack function's trailing arguments."""
+    n, delta = report.grid, report.params["delta"]
+    if lemma == "pair":
+        lo, hi = report.params["x_range"]
+        args = (delta, report.params["p"])
+    else:
+        lo, hi = report.params["x_intervals"][idx]
+        args = (delta, report.params["boost"], *_segment_for(PROFILE, lo, hi))
+    xs = np.linspace(lo, hi, n + 1)
+    ys = np.linspace(0.0, min(float(xs[i + 1]), delta), n + 1)
+    return (float(xs[i]), float(xs[i + 1]), float(ys[j]), float(ys[j + 1])), args
+
+
+@pytest.mark.parametrize(
+    "lemma, run, slack_fn",
+    [
+        ("pair", certify_pair_inequality, _pair_slack),
+        ("expansion", certify_expansion_inequality, _expansion_slack),
+    ],
+)
+def test_interval_enclosure_contains_scan_slack(tmp_path, lemma, run, slack_fn):
+    # oracle: the same slack formula in 113-bit interval arithmetic, with exact
+    # chords and tangents, on the argmin cell and 60 seeded cells
+    path = tmp_path / "slacks.csv"
+    report = run(grid_n=12, slack_csv=str(path))
+    slacks = _cells(path)
+    picks = [report.argmin_cell] + random.Random(8).sample(sorted(slacks), 60)
+    for key in picks:
+        cell, args = _cell_args(lemma, report, *key)
+        enc = _iv_slack(slack_fn, cell, args)
+        assert float(enc.b - enc.a) < 1e-20
+        assert enc.a - report.error_bound <= slacks[key] <= enc.b + report.error_bound
 
 
 # --- expansion inequality --------------------------------------------------------
@@ -214,34 +275,45 @@ def test_expansion_single_cell_matches_scalar_envelope_oracle():
     report = certify_expansion_inequality(
         x_intervals=[(c3, c5)], grid_n=1, margin=1e-4
     )
-    # oracle: assemble the strengthened inequality from scalar envelope objects
-    ea = (float(C.c4) * c5 - float(C.c6) * c3) / (c5 - c3)
-    eb = (float(C.c6) - float(C.c4)) / (c5 - c3)
-    x_min, x_max = c3, c5
-    y_min, y_max = 0.0, min(x_max, delta)
-    e_min, e_max = ea + eb * x_min, ea + eb * x_max
-    h1 = chord_lower(x_min, x_max)
-    r0, r1 = x_min / e_min, x_max / e_max
-    h2 = chord_lower(min(r0, r1), max(r0, r1))
-    h3 = chord_lower(y_min, y_max)
-    t4 = tangent_upper(min(y_min / delta, 1.0), min(y_max / delta, 1.0))
-    t5 = tangent_upper(
-        max((x_min - y_max) / (1 - delta), 0.0), min((x_max - y_min) / (1 - delta), 1.0)
-    )
-    t6 = tangent_upper(min(y_min / e_max, 1.0), min(y_max / e_min, 1.0))
+    # oracle: assemble the strengthened inequality from exact scalar envelopes
+    # in 113-bit interval arithmetic, written out here independently of the
+    # certifier's coefficient lists
+    prec, iv.prec = iv.prec, 113
+    try:
+        ea = iv.mpf(float(C.c4 - C.c3))  # e(x) = ea + x on (c3, c5)
+        x_min, x_max = c3, c5
+        y_min, y_max = 0.0, min(x_max, delta)
+        e_min, e_max = ea + x_min, ea + x_max
+        h1 = _iv_chord(x_min, x_max)
+        h2 = _iv_chord(x_min / e_min, x_max / e_max)
+        h3 = _iv_chord(y_min, y_max)
+        t4 = _iv_tangent(y_min / iv.mpf(delta), y_max / iv.mpf(delta))
+        t5 = _iv_tangent((x_min - y_max) / iv.mpf(1 - delta), (x_max - y_min) / iv.mpf(1 - delta))
+        t6 = _iv_tangent(y_min / e_max, y_max / e_min)
 
-    def slack(x, y):
-        e = ea + eb * x
-        lhs = (1 - boost) * h1(x) + boost * e * h2(x / e) + h3(y)
-        rhs = delta * t4(y / delta) + (1 - delta) * t5((x - y) / (1 - delta)) + e * t6(y / e)
-        return lhs - rhs
+        def line(env, v):
+            return env[0] + env[1] * v
 
-    # the cell lies below the diagonal (y_max = delta < c3 = x_min), so the
-    # clipped polygon is the whole rectangle
-    assert y_max < x_min
-    pts = [(x_min, y_min), (x_max, y_min), (x_min, y_max), (x_max, y_max)]
-    want = min(slack(x, y) for x, y in pts)
-    assert report.min_slack == pytest.approx(want, abs=1e-12)
+        def slack(x, y):
+            e = ea + x
+            lhs = (1 - boost) * line(h1, x) + boost * e * line(h2, x / e) + line(h3, y)
+            rhs = (
+                delta * line(t4, y / iv.mpf(delta))
+                + (1 - delta) * line(t5, (x - y) / iv.mpf(1 - delta))
+                + e * line(t6, y / e)
+            )
+            return lhs - rhs
+
+        # the cell lies below the diagonal (y_max = delta < c3 = x_min), so the
+        # clipped polygon is the whole rectangle
+        assert y_max < x_min
+        corners = [slack(x, y) for x in (x_min, x_max) for y in (y_min, y_max)]
+        lo = min(c.a for c in corners)
+        hi = min(c.b for c in corners)
+    finally:
+        iv.prec = prec
+    assert _segment_for(PROFILE, c3, c5) == (float(C.c4 - C.c3), 1.0)
+    assert float(lo) - 1e-12 <= report.min_slack <= float(hi) + 1e-12
     assert report.corners_evaluated == 4
 
 
@@ -266,12 +338,15 @@ def test_expansion_grid_refinement_does_not_lose_slack():
 
 
 def test_expansion_recheck_confirms_near_margin_cells():
+    # at half the minimum slack only the cells nearest the margin matter, and
+    # the spot check encloses each x-interval's nearest one
     base = certify_expansion_inequality(grid_n=40)
     report = certify_expansion_inequality(
         grid_n=40, margin=base.min_slack / 2, confirm=True
     )
-    assert report.recheck["cells"] > 0
+    assert report.recheck["cells"] == 4
     assert report.recheck["all_clear"] is True
+    assert report.recheck["min_slack"] == pytest.approx(base.min_slack, abs=base.error_bound)
     assert report.passed
 
 
@@ -286,6 +361,7 @@ def test_report_json_schema():
         "grid",
         "margin",
         "min_slack",
+        "error_bound",
         "argmin_cell",
         "corners_evaluated",
         "pass",
@@ -295,20 +371,25 @@ def test_report_json_schema():
     json.dumps(d)
 
 
+# Regenerated when reports gained ``error_bound`` and cells began to pass
+# only net of it; every other field agrees with the previous reports to 2e-15.
 @pytest.mark.parametrize(
     "make, want",
     [
-        (
+        pytest.param(
             lambda: certify_pair_inequality(grid_n=200),
-            "046114584fe42fd300fb9d49853319ba3484245954c9a26bda5c7200269c84f3",
+            "d01535e1e0a8753e31591c9aa4f843ad87f4981e9c60e500ab93ec1c27ef992e",
+            id="pair-200",
         ),
-        (
+        pytest.param(
             lambda: certify_expansion_inequality(grid_n=100),
-            "a182dc911b83a2710031b464c0e4e1e9e23c048494e3c33044a4668672fa9684",
+            "7d746734d881d927cf0b0d358c98e3bb9668938bf9215bde1a0c7e3a7d99c336",
+            id="expansion-100",
         ),
-        (  # two failing cells
+        pytest.param(  # two failing cells
             lambda: certify_pair_inequality(grid_n=100, margin=0.0016),
-            "3a466816f962991fdd44366a3ef3bf5bec1504d972d43d2f4f2795dd1ad4fb3f",
+            "307259c2f2b4f58debcdcacc5d4599d2fc757d688c1195585afc7e0c7cca5b54",
+            id="pair-100-failing",
         ),
     ],
 )
@@ -324,51 +405,3 @@ def test_slack_csv_dump(tmp_path):
     assert len(rows) == 20 * 20
     vals = [float(r.split(",")[3]) for r in rows]
     assert min(vals) == pytest.approx(report.min_slack, abs=1e-15)
-
-
-# --- pointwise ratio checks -------------------------------------------------------
-
-
-def test_direct_check_ratio_expansion_example():
-    r = direct_check_ratio(5.18, profile=PROFILE, alpha_range=(0.3, 0.3), grid_n=1)
-    assert r.min_slack == pytest.approx(0.0509, abs=2e-4)
-    scan = direct_check_ratio(5.18, profile=PROFILE, alpha_range=(0.21, 0.48), grid_n=2000)
-    assert scan.passed
-    assert not scan.certified
-
-
-def test_direct_check_ratio_pair_example():
-    r = direct_check_ratio(5.45, gamma=1.0, alpha_range=(0.3, 0.3322), grid_n=1000)
-    assert r.passed
-    assert r.min_slack == pytest.approx(0.000402134732823, abs=1e-9)
-    assert r.argmin_alpha == pytest.approx(0.3322, abs=1e-12)
-
-
-def test_direct_check_ratio_rejects_flat_profile():
-    flat = PiecewiseLinear(((Fraction(0), Fraction(1, 2)), (Fraction(1, 2), Fraction(1)), (Fraction(1), Fraction(1))))
-    with pytest.raises(ValueError):
-        direct_check_ratio(5.0, profile=flat, alpha_range=(0.6, 0.9), grid_n=10)
-
-
-def test_direct_check_ratio_rejects_profile_at_diagonal():
-    diag = PiecewiseLinear(((Fraction(0), Fraction(0)), (Fraction(1), Fraction(1))))
-    with pytest.raises(ValueError):
-        direct_check_ratio(5.0, profile=diag, alpha_range=(0.3, 0.4), grid_n=10)
-
-
-def test_direct_check_ratio_argument_validation():
-    with pytest.raises(ValueError):
-        direct_check_ratio(5.0, alpha_range=(0.2, 0.3))
-    with pytest.raises(ValueError):
-        direct_check_ratio(5.0, profile=PROFILE, gamma=1.0, alpha_range=(0.2, 0.3))
-    with pytest.raises(ValueError):
-        direct_check_ratio(5.0, gamma=1.0, alpha_range=(0.2, 0.6))  # 2*gamma*alpha > 1
-
-
-def test_check_pairexp_degree_examples():
-    ok = check_pairexp_degree(5, 1, 0.3)
-    assert ok.passed and ok.slack == 2.25 and ok.threshold == 2.75
-    bad = check_pairexp_degree(2, 1, 0.3)
-    assert not bad.passed and bad.slack == pytest.approx(-0.75)
-    with pytest.raises(ValueError):
-        check_pairexp_degree(5, 1, 0.5)

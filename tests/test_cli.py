@@ -132,8 +132,13 @@ def test_check_expansion_on_explicit_graph(tmp_path, capsys):
         ("4 - -\n", "malformed header"),
         ("4 - - -\n1 2\n", "expected 4 adjacency rows"),
         ("2 - - -\n1 3\n2\n", "neighbor 3 of left vertex 1 outside 1..2"),
+        ("2 5 1/2 9\n1\n2\n1 2\ngarbage\n", "unexpected text after the 2 adjacency rows"),
+        ("2 5 1/2 9\n1\n2\n", "rows differ from the graph sample_g draws"),
     ],
-    ids=["empty", "blank", "short-header", "missing-rows", "label-out-of-range"],
+    ids=[
+        "empty", "blank", "short-header", "missing-rows", "label-out-of-range",
+        "trailing-garbage", "false-provenance",
+    ],
 )
 def test_check_expansion_rejects_malformed_graph(tmp_path, capsys, text, message):
     path = tmp_path / "bad.txt"
@@ -141,6 +146,27 @@ def test_check_expansion_rejects_malformed_graph(tmp_path, capsys, text, message
     assert main(["check-expansion", "--graph", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize("disjoint", [[], ["--disjoint"]], ids=["plain", "disjoint"])
+def test_sampled_graph_file_loads_with_its_header(tmp_path, capsys, disjoint):
+    path = tmp_path / "g.txt"
+    assert main(["sample-expander", "--n", "30", "--seed", "6", "--output", str(path)] + disjoint) == 0
+    assert main(["check-expansion", "--graph", str(path), "--k-max", "2"]) in (0, 1)
+    assert "error" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample-expander", "--n", "4", "--disjoint"],
+        ["sample-expander", "--n", "2", "--d", "2", "--delta", "1/2", "--disjoint"],
+        ["check-expansion", "--n", "4", "--disjoint"],
+    ],
+)
+def test_impossible_disjoint_draw_exits_two(argv, capsys):
+    assert main(argv) == 2
+    assert "error: no " in capsys.readouterr().err
 
 
 def test_check_expansion_with_profile_file(tmp_path, capsys):

@@ -5,18 +5,21 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from mpmath import iv
 
 from superconc.entropy import (
     chord_coefficients,
-    chord_lower,
     entropy,
-    entropy_mp,
-    entropy_slope,
+    entropy_lower,
     log_binomial,
     stirling_gap,
     tangent_coefficients,
-    tangent_upper,
 )
+
+# more ulps than the rounding of either envelope can account for: entropy_lower
+# sits at most 12u relative below H, a tangent intercept at most 11u above
+# the conjugate of its slope
+MUTATION_ULPS = 16
 
 
 def test_entropy_endpoints_are_exactly_zero():
@@ -31,7 +34,8 @@ def test_entropy_maximum_at_half():
 def test_entropy_reference_value():
     # oracle: 50-digit evaluation of the defining formula
     with mpmath.workdps(50):
-        want = float(entropy_mp(mpmath.mpf("0.2301")))
+        x = mpmath.mpf("0.2301")
+        want = float(-x * mpmath.log(x) - (1 - x) * mpmath.log(1 - x))
     assert want == pytest.approx(0.5393971443878747, abs=1e-15)
     assert entropy(0.2301) == pytest.approx(want, abs=1e-14)
 
@@ -69,53 +73,39 @@ def test_entropy_symmetry(x):
 
 
 def test_chord_on_full_interval_is_zero_line():
-    b = chord_lower(0.0, 1.0)
-    assert b.intercept == 0.0 and b.slope == 0.0
+    a, b = chord_coefficients(0.0, 1.0)
+    assert a == 0.0 and b == 0.0
     for x in np.linspace(0, 1, 11):
-        assert b(x) <= entropy(float(x))
+        assert a + b * x <= entropy(float(x))
 
 
 def test_chord_degenerate_interval_is_constant():
-    b = chord_lower(0.37, 0.37)
-    assert b.slope == 0.0
-    assert b(0.37) == pytest.approx(entropy(0.37), abs=1e-15)
+    a, b = chord_coefficients(0.37, 0.37)
+    assert b == 0.0
+    assert a == pytest.approx(entropy(0.37), abs=1e-15)
 
 
 def test_chord_strictly_below_inside_interval():
-    b = chord_lower(0.3, 0.4)
-    assert b(0.35) < entropy(0.35)
-
-
-def test_chord_rejects_bad_interval():
-    with pytest.raises(ValueError):
-        chord_lower(0.4, 0.3)
-    with pytest.raises(ValueError):
-        chord_lower(-0.1, 0.5)
+    a, b = chord_coefficients(0.3, 0.4)
+    assert a + b * 0.35 < entropy(0.35)
 
 
 def test_tangent_on_full_interval_is_flat_at_ln2():
-    b = tangent_upper(0.0, 1.0)
-    assert b.slope == 0.0
-    assert b.intercept == pytest.approx(math.log(2), abs=1e-15)
+    a, b = tangent_coefficients(0.0, 1.0)
+    assert b == 0.0
+    assert a == pytest.approx(math.log(2), abs=1e-15)
     for x in np.linspace(0, 1, 11):
-        assert entropy(float(x)) <= b(x) + 1e-15
+        assert entropy(float(x)) <= a + b * x + 1e-15
 
 
 def test_tangent_slope_closed_form():
-    b = tangent_upper(0.2, 0.4)
-    assert b.slope == pytest.approx(math.log(7.0 / 3.0), abs=1e-14)
+    _, b = tangent_coefficients(0.2, 0.4)
+    assert b == pytest.approx(math.log(7.0 / 3.0), abs=1e-14)
 
 
 def test_tangent_touches_at_degenerate_point():
-    b = tangent_upper(0.6, 0.6)
-    assert b(0.6) == pytest.approx(entropy(0.6), abs=1e-15)
-
-
-def test_tangent_rejects_endpoint_midpoints():
-    with pytest.raises(ValueError):
-        tangent_upper(0.0, 0.0)
-    with pytest.raises(ValueError):
-        tangent_upper(1.0, 1.0)
+    a, b = tangent_coefficients(0.6, 0.6)
+    assert a + b * 0.6 == pytest.approx(entropy(0.6), abs=1e-15)
 
 
 @settings(max_examples=200)
@@ -127,30 +117,125 @@ def test_tangent_rejects_endpoint_midpoints():
 def test_concavity_sandwich(p, q, t):
     lo, hi = min(p, q), max(p, q)
     x = lo + t * (hi - lo)
-    chord = chord_lower(lo, hi)
-    tangent = tangent_upper(lo, hi)
-    h = entropy(x)
-    assert chord(x) <= h + 1e-12
-    assert h <= tangent(x) + 1e-12
-
-
-def test_coefficient_arrays_match_scalar_objects():
-    lo = np.array([0.1, 0.25, 0.4])
-    hi = np.array([0.2, 0.25, 0.9])
     ca, cb = chord_coefficients(lo, hi)
     ta, tb = tangent_coefficients(lo, hi)
-    for i in range(3):
-        b = chord_lower(float(lo[i]), float(hi[i]))
-        assert ca[i] == pytest.approx(b.intercept, abs=1e-15)
-        assert cb[i] == pytest.approx(b.slope, abs=1e-15)
-        t = tangent_upper(float(lo[i]), float(hi[i]))
-        assert ta[i] == pytest.approx(t.intercept, abs=1e-15)
-        assert tb[i] == pytest.approx(t.slope, abs=1e-15)
+    h = entropy(x)
+    assert ca + cb * x <= h + 1e-12
+    assert h <= ta + tb * x + 1e-12
+
+
+def test_coefficient_arrays_match_elementwise_calls():
+    lo = np.array([0.1, 0.25, 0.4, 0.0])
+    hi = np.array([0.2, 0.25, 0.9, 1.0])
+    ca, cb = chord_coefficients(lo, hi)
+    ta, tb = tangent_coefficients(lo, hi)
+    for i in range(len(lo)):
+        assert (ca[i], cb[i]) == chord_coefficients(lo[i], hi[i])
+        assert (ta[i], tb[i]) == tangent_coefficients(lo[i], hi[i])
+    # shared node values give the chords the scan builds
+    h = entropy_lower(np.concatenate([lo, hi]))
+    assert np.array_equal(chord_coefficients(lo, hi, h[:4], h[4:])[0], ca)
 
 
 def test_tangent_coefficients_pinned_intervals_give_zero_function():
     ta, tb = tangent_coefficients(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
     assert np.all(ta == 0.0) and np.all(tb == 0.0)
+
+
+# --- soundness in float64, checked in 113-bit interval arithmetic ---------------
+
+
+@pytest.fixture
+def iv113():
+    prec, iv.prec = iv.prec, 113
+    yield
+    iv.prec = prec
+
+
+def _iv_h(x):
+    x = iv.mpf(x)
+    if x == 0 or x == 1:
+        return iv.mpf(0)
+    return -x * iv.log(x) - (1 - x) * iv.log(1 - x)
+
+
+def _step(v, ulps, toward):
+    for _ in range(ulps):
+        v = np.nextafter(v, toward)
+    return v
+
+
+def _nodes():
+    rng = np.random.default_rng(3)
+    # 1 - x must stay exact at 113 bits, or the oracle's log(1 - x) blurs
+    extremes = [0.0, 2.0**-100, 1e-12, 0.5, 1 - 1e-12, 1.0]
+    return np.unique(np.concatenate([np.linspace(0, 0.325, 101), rng.uniform(0, 1, 100), extremes]))
+
+
+def _above(value, x):
+    """Whether the float value certainly exceeds H(x)."""
+    return (iv.mpf(float(value)) - _iv_h(float(x))).a > 0
+
+
+def _line_above(a, b, x):
+    return (iv.mpf(float(a)) + iv.mpf(float(b)) * float(x) - _iv_h(float(x))).a > 0
+
+
+def test_entropy_lower_sits_below_entropy_and_raised_values_do_not(iv113):
+    ys = _nodes()
+    h = entropy_lower(ys)
+    assert not any(_above(v, y) for y, v in zip(ys, h))
+    # tight: a few ulps up, every node value is above H
+    raised = _step(h, MUTATION_ULPS, np.inf)
+    assert all(_above(v, y) for y, v in zip(ys, raised))
+
+
+def test_chord_lies_below_entropy_at_its_nodes(iv113):
+    ys = _nodes()
+    h = entropy_lower(ys)
+
+    def chords_above(h):
+        ca, cb = chord_coefficients(ys[:-1], ys[1:], h[:-1], h[1:])
+        return [
+            _line_above(ca[j], cb[j], ys[j]) or _line_above(ca[j], cb[j], ys[j + 1])
+            for j in range(len(ys) - 1)
+        ]
+
+    assert not any(chords_above(h))
+    # node values raised by a few ulps lift most chords above H at a node
+    assert sum(chords_above(_step(h, MUTATION_ULPS, np.inf))) > (len(ys) - 1) / 2
+
+
+def test_tangent_lies_above_entropy_at_its_tangency_point(iv113):
+    rng = np.random.default_rng(5)
+    ms = np.concatenate([rng.uniform(0, 1, 200), [1e-12, 1e-6, 0.5, 1 - 1e-6]])
+    a, b = tangent_coefficients(ms, ms)
+
+    def dips_below(a, b):
+        # H(x) - b*x peaks at x* = 1/(1 + e^b), where the tangent touches H
+        x = 1 / (1 + iv.exp(iv.mpf(float(b))))
+        return (iv.mpf(float(a)) + iv.mpf(float(b)) * x - _iv_h(x)).b < 0
+
+    assert not any(dips_below(ai, bi) for ai, bi in zip(a, b))
+    lowered = _step(a, MUTATION_ULPS, -np.inf)
+    assert all(dips_below(ai, bi) for ai, bi in zip(lowered, b))
+
+
+@settings(max_examples=300)
+@given(st.floats(min_value=0.0, max_value=1.0), st.floats(min_value=0.0, max_value=1.0))
+@example(0.0, 0.0)
+@example(0.3, 0.3)
+def test_envelopes_hold_in_interval_arithmetic(p, q):
+    lo, hi = min(p, q), max(p, q)
+    prec, iv.prec = iv.prec, 113
+    try:
+        ca, cb = chord_coefficients(lo, hi)
+        assert not _line_above(ca, cb, lo) and not _line_above(ca, cb, hi)
+        ta, tb = tangent_coefficients(lo, hi)
+        for x in (lo, hi, 0.5 * (lo + hi)):
+            assert (iv.mpf(float(ta)) + iv.mpf(float(tb)) * x - _iv_h(x)).b >= 0
+    finally:
+        iv.prec = prec
 
 
 def test_log_binomial_small_cases():
@@ -195,9 +280,8 @@ def test_stirling_gap_spot_scan():
 
 
 def test_entropy_slope_matches_difference_quotient():
+    # the tangent at a degenerate interval takes the entropy's slope there
     for m in (0.1, 0.3, 0.5, 0.9):
         h = 1e-7
         numeric = (entropy(m + h) - entropy(m - h)) / (2 * h)
-        assert entropy_slope(m) == pytest.approx(numeric, abs=1e-6)
-    with pytest.raises(ValueError):
-        entropy_slope(0.0)
+        assert tangent_coefficients(m, m)[1] == pytest.approx(numeric, abs=1e-6)

@@ -26,13 +26,13 @@ LIGHT_COMMANDS = [
     ["mc-plr", "--n", "20", "--ell", "4", "--r", "10", "--d", "5", "--trials", "200"],
 ]
 
-# every name `superconc` exported when it imported all submodules eagerly
+# every name `superconc` exported when it imported all submodules eagerly,
+# less the deleted scalar envelopes and pointwise ratio and degree checks
 OLD_EXPORTS = {
-    "certifier": "CertReport DegreeCheck RatioCheckReport certify_expansion_inequality "
-    "certify_pair_inequality check_pairexp_degree direct_check_ratio",
+    "certifier": "CertReport certify_expansion_inequality certify_pair_inequality",
     "construction": "BuildConfig BuildError SuperDag VerifyReport build_gamma "
     "max_disjoint_paths verify_superconcentrator",
-    "entropy": "LinearBound chord_lower entropy log_binomial stirling_gap tangent_upper",
+    "entropy": "entropy log_binomial stirling_gap",
     "probability": "BoundValue alpha_coefficients bassalygo_bound boolean_identity_check "
     "binom_ratio_bound exact_plr expansion_fail_bound montecarlo_plr pair_fail_bound plr_table",
     "profiles": "ConditionCheck ConditionReport PiecewiseLinear ProfileConstants "
@@ -82,11 +82,28 @@ def test_light_command_loads_no_heavy_library(argv):
     assert not set(_loaded_after(code)) & set(HEAVY)
 
 
-def test_heavy_modules_load_their_libraries_at_import():
-    # so the certify and build benchmarks pay these imports in set-up, not
-    # inside a timed call
-    assert _loaded_after("import superconc.certifier") == ["mpmath", "numpy", "scipy", "scipy.special"]
-    assert "scipy.sparse.csgraph" in _loaded_after("import superconc.construction")
+def test_heavy_modules_load_their_libraries_at_import(tmp_path):
+    # the certifier's float64 scan needs numpy and scipy.special, loaded at
+    # import so the certify benchmark pays them in set-up; mpmath loads only
+    # for the interval spot check
+    assert _loaded_after("import superconc.certifier") == ["numpy", "scipy", "scipy.special"]
+    # building a dag runs no flow, so only verification loads numpy and scipy
+    assert _loaded_after("import superconc.construction") == []
+    graph = tmp_path / "g.json"
+    run = (
+        "import contextlib, io\n"
+        "from superconc.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main({!r}) == 0\n"
+    )
+    build = ["build-sc", "--n", "40", "--output", str(graph)]
+    assert _loaded_after(run.format(build)) == []
+    verify = ["verify-sc", "--graph", str(graph), "--trials", "5"]
+    assert {"numpy", "scipy", "scipy.sparse.csgraph"} <= set(_loaded_after(run.format(verify)))
+    assert "mpmath" not in _loaded_after(run.format(verify))
+    certify = ["certify-pair", "--grid", "4", "--margin", "-1"]
+    assert "mpmath" not in _loaded_after(run.format(certify))
+    assert "mpmath" in _loaded_after(run.format(certify + ["--confirm"]))
 
 
 def test_old_export_list_resolves_lazily():

@@ -165,6 +165,16 @@ def test_check_conditions_fails_for_low_degree():
     assert not report["degree>2+e'(0)"].passed
 
 
+def test_check_conditions_pair_degree_examples():
+    # d > 1 + gamma(1-eps1)/(1-2*gamma*eps1) on the whole overlays, floor(d)
+    ok = check_conditions(C, gamma=1, eps1=Fraction(3, 10))["pair-degree"]
+    assert ok.passed and ok.slack == 2.25
+    assert "2.7500000000" in ok.detail
+    low = ProfileConstants.from_c1_c3("0.2301", "0.3322", d="2.9", delta="0.325")
+    bad = check_conditions(low, gamma=1, eps1=Fraction(3, 10))["pair-degree"]
+    assert not bad.passed and bad.slack == pytest.approx(-0.75)
+
+
 def test_check_conditions_pair_degree_pole():
     report = check_conditions(C, gamma=1, eps1=Fraction(1, 2))
     assert not report["pair-degree"].passed

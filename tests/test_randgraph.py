@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from superconc import randgraph
 from superconc.profiles import alon_capalbo_profile, density253_constants, expansion_profile
 from superconc.randgraph import (
     BipartiteGraph,
@@ -76,6 +77,21 @@ def test_disjoint_mode_exact_degrees_and_edges():
         for i in range(1, n + 1):
             want = d + 1 if i <= pinned else d
             assert g.degree(i) == want
+
+
+def test_disjoint_mode_feasibility_boundary(monkeypatch):
+    # d disjoint permutations avoiding the pinned diagonal exist exactly when
+    # d <= n, or d <= n - 1 once an edge is pinned
+    assert sample_g(5, 5, 0, 3, disjoint=True).edge_count() == 25
+    assert sample_g(4, 3, "0.25", 3, disjoint=True).edge_count() == 13
+    with pytest.raises(ValueError, match="needs d <= 3"):
+        sample_g(4, 4, "0.25", 3, disjoint=True)
+    with pytest.raises(ValueError, match="needs d <= 5"):
+        sample_g(5, 6, 0, 3, disjoint=True)
+    # a feasible request whose redraws run out is refused the same way
+    monkeypatch.setattr(randgraph, "_MAX_RESAMPLE", 3)
+    with pytest.raises(ValueError, match="in 3 tries"):
+        sample_g(20, 19, 0, 1, disjoint=True)
 
 
 def test_neighborhood_basics():
@@ -332,3 +348,16 @@ def test_adjacency_rejects_out_of_range_labels():
         BipartiteGraph(3, [[1], [4], [2]])
     with pytest.raises(ValueError):
         BipartiteGraph(3, [[1], [2]])
+
+
+def test_text_rejects_trailing_text_and_false_provenance():
+    g = sample_g(10, 3, "0.3", 21, disjoint=True)
+    text = graph_to_text(g)
+    assert graph_from_text(text) == g
+    assert graph_from_text(text + "\n\n") == g
+    with pytest.raises(ValueError, match="unexpected text"):
+        graph_from_text(text + "1 2\n")
+    header, rows = text.split("\n", 1)
+    assert header == "10 3 3/10 21"
+    with pytest.raises(ValueError, match="rows differ"):
+        graph_from_text("10 3 3/10 22\n" + rows)
