@@ -9,13 +9,8 @@ import math
 
 import numpy as np
 
-from superconc.entropy import (
-    chord_coefficients,
-    entropy,
-    log_binomial,
-    stirling_gap,
-    tangent_coefficients,
-)
+from superconc.certifier import chord_coefficients, tangent_coefficients
+from superconc.entropy import entropy, log_binomial, stirling_gap
 
 # The entropy H(x) = -x ln x - (1-x) ln(1-x) is concave, symmetric around 1/2,
 # and vanishes at both endpoints.

@@ -15,9 +15,10 @@ from superconc.profiles import check_conditions, density253_constants
 # each entropy term by a chord (left side, from below) or a midpoint tangent
 # (right side, from above), and evaluate the resulting affine inequality at
 # the cell corners.  Every cell must clear the margin after its own bound on
-# the float64 rounding of its slack is subtracted.
+# the float64 rounding of its slack is subtracted.  The pair inequality is
+# the paper's at gamma = 1.
 pair = certify_pair_inequality(
-    delta=0.325, gamma=1.0, p=0.45, x_range=(0.3, 0.3322), grid_n=1000, margin=1e-4
+    delta=0.325, p=0.45, x_range=(0.3, 0.3322), grid_n=1000, margin=1e-4
 )
 print("pair inequality:", "PASS" if pair.passed else "FAIL")
 print("  min slack", pair.min_slack, "at cell", pair.argmin_cell)

@@ -2,8 +2,7 @@
 
 Submodules:
 
-- :mod:`superconc.entropy`: binary entropy, chord/tangent envelopes,
-  log-binomial utilities.
+- :mod:`superconc.entropy`: binary entropy and log-binomial utilities.
 - :mod:`superconc.profiles`: piecewise-linear expansion profiles and their
   exact side conditions.
 - :mod:`superconc.randgraph`: the seeded permutation-overlay graph model and
@@ -13,7 +12,8 @@ Submodules:
 - :mod:`superconc.probability`: union bounds, the exact inclusion-exclusion
   neighborhood probability, and Monte Carlo oracles.
 - :mod:`superconc.certifier`: grid certification of the two entropy
-  inequalities behind the fractional degree 5.325.
+  inequalities behind the fractional degree 5.325, with the float64-sound
+  chord and tangent envelopes of the entropy.
 - :mod:`superconc.cli`: batch command-line interface over all of the above.
 """
 

@@ -16,8 +16,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-# certifier loads numpy and scipy.special, and a flow query in construction
-# numpy and scipy.sparse; only the commands that use them import them.
+# certifier loads numpy, and a flow query in construction numpy and
+# scipy.sparse; only the commands that use them import them.
 from . import probability, profiles, randgraph
 from .entropy import stirling_gap
 
@@ -57,7 +57,6 @@ def _cmd_certify_pair(args) -> int:
 
     report = certifier.certify_pair_inequality(
         delta=args.delta,
-        gamma=args.gamma,
         p=args.p,
         x_range=(args.x_min, args.x_max),
         grid_n=args.grid,
@@ -278,14 +277,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("certify-pair", help="grid-certify the pair-expansion inequality")
     sub.add_argument("--delta", type=float, default=0.325)
-    sub.add_argument("--gamma", type=float, default=1.0)
     sub.add_argument("--p", type=float, default=0.45)
     sub.add_argument("--x-min", type=float, default=0.3)
     sub.add_argument("--x-max", type=float, default=0.3322)
     sub.add_argument("--grid", type=int, default=1000)
     sub.add_argument("--margin", type=float, default=0.0001)
     sub.add_argument("--confirm", action="store_true", help="enclose each x-interval's minimum cell in 113-bit interval arithmetic")
-    sub.add_argument("--slack-csv", help="dump per-cell slacks to this CSV path")
+    sub.add_argument("--slack-csv", help="dump per-cell slacks and rounding bounds to this CSV path")
     _add_output(sub)
     sub.set_defaults(func=_cmd_certify_pair)
 
@@ -300,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--grid", type=int, default=1000)
     sub.add_argument("--margin", type=float, default=0.0001)
     sub.add_argument("--confirm", action="store_true", help="enclose each x-interval's minimum cell in 113-bit interval arithmetic")
-    sub.add_argument("--slack-csv", help="dump per-cell slacks to this CSV path")
+    sub.add_argument("--slack-csv", help="dump per-cell slacks and rounding bounds to this CSV path")
     _add_output(sub)
     sub.set_defaults(func=_cmd_certify_expansion)
 

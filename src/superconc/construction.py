@@ -24,7 +24,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .profiles import PiecewiseLinear, as_fraction, density253_constants, expansion_profile
+from .profiles import PiecewiseLinear, density253_constants, expansion_profile
 from .randgraph import (
     DEFAULT_BUDGET,
     BipartiteGraph,
@@ -73,17 +73,10 @@ class BuildConfig:
     check_k_max: int = 2
     check_budget: int = 200_000
     profile: PiecewiseLinear | None = None
-    gamma: Fraction = Fraction(1)
-    pair_alpha_max: Fraction | None = None
     expanders: dict | None = None
 
     def resolved_profile(self) -> PiecewiseLinear:
         return self.profile if self.profile is not None else expansion_profile(density253_constants())
-
-    def resolved_pair_alpha_max(self) -> Fraction:
-        if self.pair_alpha_max is not None:
-            return as_fraction(self.pair_alpha_max)
-        return density253_constants().c3
 
 
 class SuperDag:
@@ -286,8 +279,9 @@ def _acceptance_checks(g: BipartiteGraph, cfg: BuildConfig):
         k_cap = k
     profile = cfg.resolved_profile()
     rep_e = check_expander_profile(g, profile, k_cap, cfg.check_budget)
-    pair_top = min(k_cap, math.floor(cfg.resolved_pair_alpha_max() * n))
-    rep_p = check_pair_profile(g, cfg.gamma, Fraction(pair_top, n), cfg.check_budget)
+    # pair expansion at gamma = 1 for alpha up to c3
+    pair_top = min(k_cap, math.floor(density253_constants().c3 * n))
+    rep_p = check_pair_profile(g, 1, Fraction(pair_top, n), cfg.check_budget)
     return rep_e, rep_p
 
 
@@ -430,7 +424,7 @@ class _FlowSolver:
         return int(maximum_flow(graph, 0, 1).flow_value)
 
 
-def max_disjoint_paths(dag: SuperDag, S, T, _solver: _FlowSolver | None = None) -> int:
+def max_disjoint_paths(dag: SuperDag, S, T) -> int:
     """Maximum number of node-disjoint paths from input subset S to output
     subset T (disjoint including endpoints), computed as a unit-capacity max
     flow on the node-split graph."""
@@ -444,8 +438,7 @@ def max_disjoint_paths(dag: SuperDag, S, T, _solver: _FlowSolver | None = None) 
         raise ValueError("S must consist of input nodes")
     if not set(T) <= set(dag.outputs):
         raise ValueError("T must consist of output nodes")
-    solver = _solver if _solver is not None else _FlowSolver(dag)
-    return solver.query(S, T)
+    return _FlowSolver(dag).query(S, T)
 
 
 @dataclass(frozen=True)

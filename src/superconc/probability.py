@@ -82,6 +82,30 @@ def _resolve_regime(n: int, regime: str) -> str:
     raise ValueError(f"unknown regime {regime!r}")
 
 
+def _union_bound(N, d, k, m, pinned, sets, reach, regime) -> BoundValue:
+    """C(sets, m-1) * (C(reach, k)/C(N, k))^d times the pinned-edge sum over i
+    of C(pinned, i) * C(N-pinned, k-i) * C(m-1, i) / C(N, i), whose terms
+    past i = min(k, m-1) vanish; exact or in logs as the regime resolves."""
+    top = min(k, m - 1) + 1
+    if _resolve_regime(N, regime) == "exact":
+        ratio = Fraction(comb0(reach, k), comb0(N, k)) ** d
+        total = sum(
+            Fraction(comb0(pinned, i) * comb0(N - pinned, k - i) * comb0(m - 1, i), comb0(N, i))
+            for i in range(top)
+        )
+        exact = comb0(sets, m - 1) * ratio * total
+        return BoundValue(_log_fraction(exact), exact, "exact")
+    base = log_binomial(sets, m - 1) + d * (log_binomial(reach, k) - log_binomial(N, k))
+    terms = [
+        log_binomial(pinned, i)
+        + log_binomial(N - pinned, k - i)
+        + log_binomial(m - 1, i)
+        - log_binomial(N, i)
+        for i in range(top)
+    ]
+    return BoundValue(base + _logsumexp(terms), None, "log")
+
+
 def pair_fail_bound(N: int, d: int, delta, k: int, m: int, regime: str = "auto") -> BoundValue:
     """Union bound on the probability that some k-subset of left vertices
     touches fewer than m right pairs in the overlay model on N vertices.
@@ -102,25 +126,7 @@ def pair_fail_bound(N: int, d: int, delta, k: int, m: int, regime: str = "auto")
         raise ValueError(f"k={k} outside 0..{N}")
     if not (2 * m > k and 2 * m < N):
         raise ValueError(f"need k/2 < m < N/2, got k={k}, m={m}, N={N}")
-    pinned = math.floor(delta * N)
-    use = _resolve_regime(N, regime)
-    if use == "exact":
-        ratio = Fraction(comb0(2 * m - 2, k), comb0(N, k)) ** d
-        total = sum(
-            Fraction(comb0(pinned, i) * comb0(N - pinned, k - i) * comb0(m - 1, i), comb0(N, i))
-            for i in range(m)
-        )
-        exact = comb0(N // 2, m - 1) * ratio * total
-        return BoundValue(_log_fraction(exact), exact, "exact")
-    base = log_binomial(N // 2, m - 1) + d * (log_binomial(2 * m - 2, k) - log_binomial(N, k))
-    terms = [
-        log_binomial(pinned, i)
-        + log_binomial(N - pinned, k - i)
-        + log_binomial(m - 1, i)
-        - log_binomial(N, i)
-        for i in range(m)
-    ]
-    return BoundValue(base + _logsumexp(terms), None, "log")
+    return _union_bound(N, d, k, m, math.floor(delta * N), N // 2, 2 * m - 2, regime)
 
 
 def expansion_fail_bound(N: int, d: int, delta, k: int, m: int, regime: str = "auto") -> BoundValue:
@@ -141,25 +147,7 @@ def expansion_fail_bound(N: int, d: int, delta, k: int, m: int, regime: str = "a
         raise ValueError(f"k={k} outside 1..{N}")
     if not 1 <= m <= N:
         raise ValueError(f"m={m} outside 1..{N}")
-    pinned = math.floor(delta * N)
-    use = _resolve_regime(N, regime)
-    if use == "exact":
-        ratio = Fraction(comb0(m - 1, k), comb0(N, k)) ** d
-        total = sum(
-            Fraction(comb0(pinned, i) * comb0(N - pinned, k - i) * comb0(m - 1, i), comb0(N, i))
-            for i in range(k + 1)
-        )
-        exact = comb0(N, m - 1) * ratio * total
-        return BoundValue(_log_fraction(exact), exact, "exact")
-    base = log_binomial(N, m - 1) + d * (log_binomial(m - 1, k) - log_binomial(N, k))
-    terms = [
-        log_binomial(pinned, i)
-        + log_binomial(N - pinned, k - i)
-        + log_binomial(m - 1, i)
-        - log_binomial(N, i)
-        for i in range(k + 1)
-    ]
-    return BoundValue(base + _logsumexp(terms), None, "log")
+    return _union_bound(N, d, k, m, math.floor(delta * N), N, m - 1, regime)
 
 
 def binom_ratio_bound(n: int, k: int, m: int) -> Fraction:

@@ -33,7 +33,7 @@ def test_criterion_1_pair_inequality_certification(tmp_path):
     t0 = time.perf_counter()
     rc = main(
         [
-            "certify-pair", "--delta", "0.325", "--gamma", "1", "--p", "0.45",
+            "certify-pair", "--delta", "0.325", "--p", "0.45",
             "--x-min", "0.3", "--x-max", "0.3322", "--grid", "1000",
             "--margin", "0.0001", "--output", str(out),
         ]

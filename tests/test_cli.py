@@ -65,7 +65,7 @@ def test_unknown_flag_exits_with_usage_error():
 
 
 def test_bad_configuration_exits_two(capsys):
-    assert main(["certify-pair", "--gamma", "0.7"]) == 2
+    assert main(["certify-pair", "--delta", "0.6"]) == 2
     assert "error" in capsys.readouterr().err
 
 

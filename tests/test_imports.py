@@ -83,10 +83,10 @@ def test_light_command_loads_no_heavy_library(argv):
 
 
 def test_heavy_modules_load_their_libraries_at_import(tmp_path):
-    # the certifier's float64 scan needs numpy and scipy.special, loaded at
-    # import so the certify benchmark pays them in set-up; mpmath loads only
-    # for the interval spot check
-    assert _loaded_after("import superconc.certifier") == ["numpy", "scipy", "scipy.special"]
+    # the certifier's float64 scan needs numpy alone, loaded at import so the
+    # certify benchmark pays it in set-up; mpmath loads only for the interval
+    # spot check
+    assert _loaded_after("import superconc.certifier") == ["numpy"]
     # building a dag runs no flow, so only verification loads numpy and scipy
     assert _loaded_after("import superconc.construction") == []
     graph = tmp_path / "g.json"
@@ -102,8 +102,9 @@ def test_heavy_modules_load_their_libraries_at_import(tmp_path):
     assert {"numpy", "scipy", "scipy.sparse.csgraph"} <= set(_loaded_after(run.format(verify)))
     assert "mpmath" not in _loaded_after(run.format(verify))
     certify = ["certify-pair", "--grid", "4", "--margin", "-1"]
-    assert "mpmath" not in _loaded_after(run.format(certify))
-    assert "mpmath" in _loaded_after(run.format(certify + ["--confirm"]))
+    assert _loaded_after(run.format(certify)) == ["numpy"]
+    confirmed = _loaded_after(run.format(certify + ["--confirm"]))
+    assert "mpmath" in confirmed and "scipy" not in confirmed
 
 
 def test_old_export_list_resolves_lazily():
