@@ -21,10 +21,13 @@ ulp (relative error at most 2u, u = 2^-53); measured against mpmath they stay
 within 0.66 ulp.
 
 Each inequality and the corner rule are written once against a number
-backend: float64 over one x-cell and a numpy row of y-cells, or mpmath
-interval arithmetic over one cell.  The optional spot check (``confirm``)
-encloses the slack of the scan's minimum cell in every x-interval with the
-latter, at 113 bits; mpmath is imported only then.
+backend: float64 over a block of consecutive x-rows, or mpmath interval
+arithmetic over one cell.  In a block the x quantities are columns and the y
+quantities rows; when every x-cell of the block reaches y = delta, the block
+shares one y-row, and the terms in y alone are computed once for it.  The
+optional spot check (``confirm``) encloses the slack of the scan's minimum
+cell in every x-interval with the interval backend, at 113 bits; mpmath is
+imported only then.
 """
 
 from __future__ import annotations
@@ -54,6 +57,10 @@ __all__ = [
 ]
 
 _FAIL_CAP = 10_000
+# cells per block of consecutive x-rows that the scan hands to numpy at once
+# (at least one row).  Larger blocks pay numpy's per-call overhead less often,
+# but the live temporaries, about 25 block-sized arrays, grow with them.
+_BLOCK_CELLS = 8192
 _RECHECK_BITS = 113
 U = 2.0**-53  # unit roundoff of float64
 _TINY = 2.0**-1022
@@ -114,8 +121,7 @@ def tangent_coefficients(lo, hi):
     # any tangent point in (0, 1) gives a line above H, so a midpoint that
     # rounds onto 0 or 1 is moved inside; the floor keeps (1-m)/m finite
     m = np.minimum(np.maximum(0.5 * (lo + hi), _TINY), 1.0 - U)
-    msafe = np.where(interior, m, 0.5)
-    slope = np.where(interior, np.log((1.0 - msafe) / msafe), 0.0)
+    slope = np.where(interior, np.log((1.0 - m) / m), 0.0)
     intercept = np.log1p(np.exp(-slope)) * (1.0 + 6 * U) + _TINY
     return np.where(interior, intercept, 0.0), slope
 
@@ -179,12 +185,14 @@ def _outward(lo, hi, spread):
     exact range: forming e errs by 2u*spread relative, spread = (|ea| +
     |eb|x)/e, and the division by u more.  The widening is twice that."""
     w = (4 * spread + 4) * U
-    return lo * (1 - w), min(hi * (1 + w), 1.0)
+    return lo * (1 - w), np.minimum(hi * (1 + w), 1.0)
 
 
-# float64 backend: x quantities are floats, y quantities numpy rows.  chord and
-# tangent look up the module-level names at each call, so a wrapper installed
-# on them (as the benchmark tracer does) sees every call.
+# float64 backend over a block of x-rows: x quantities are (rows, 1) columns,
+# y quantities a shared (1, n) row or a (rows, n) block, and numpy
+# broadcasting forms the mixed terms.  chord and tangent look up the
+# module-level names at each call, so a wrapper installed on them (as the
+# benchmark tracer does) sees every call.
 _F64 = SimpleNamespace(
     chord=lambda *ends: chord_coefficients(*ends),
     tangent=lambda lo, hi: tangent_coefficients(lo, hi),
@@ -282,18 +290,17 @@ def _corner_min(nb, A, B, C, x_min, x_max, y_min, y_max):
     rounding error of each minimum, gamma_n times the sum of the absolute
     products (coordinates are nonnegative)."""
     a, b, c = sum(A), sum(B), sum(C)
+    err = _GAMMA * (sum(map(abs, A)) + sum(map(abs, B)) * x_max + sum(map(abs, C)) * y_max)
     y_hi = nb.minimum(y_max, x_max)
-    s1 = a + b * nb.maximum(x_min, y_min) + c * y_min
-    s2 = a + b * x_max + c * y_min
-    s3 = a + b * nb.maximum(x_min, y_hi) + c * y_hi
-    s4 = a + b * x_max + c * y_hi
-    sl = nb.minimum(nb.minimum(s1, s2), nb.minimum(s3, s4))
+    # nested, so that no corner array outlives the comparison it takes part in
+    sl = nb.minimum(
+        nb.minimum(a + b * nb.maximum(x_min, y_min) + c * y_min, a + b * x_max + c * y_min),
+        nb.minimum(a + b * nb.maximum(x_min, y_hi) + c * y_hi, a + b * x_max + c * y_hi),
+    )
     extra = (y_min < x_min) & (x_min < y_hi)
     if np.any(extra):
-        s5 = a + b * x_min + c * x_min
-        sl = nb.where(extra, nb.minimum(sl, s5), sl)
-    size = sum(map(abs, A)) + sum(map(abs, B)) * x_max + sum(map(abs, C)) * y_max
-    return sl, extra, _GAMMA * size
+        sl = nb.where(extra, nb.minimum(sl, a + b * x_min + c * x_min), sl)
+    return sl, extra, err
 
 
 def _pair_slack(nb, x_min, x_max, y_min, y_max, h, delta, p):
@@ -312,6 +319,9 @@ def _pair_slack(nb, x_min, x_max, y_min, y_max, h, delta, p):
     A = [(1 - p) * c1a, c2a, -delta * t3a, -(1 - delta) * t4a]
     B = [(1 - p) * c1b, 2 * p * nb.log(2), -t4b, -t5a]
     C = [c2b, -t3b, t4b, -t5b]
+    # the lists hold what the corners need; freeing the tangents now lowers
+    # the peak memory of a block
+    del t3a, t3b, t4a, t4b, t5a, t5b
     return _corner_min(nb, A, B, C, x_min, x_max, y_min, y_max)
 
 
@@ -335,13 +345,15 @@ def _expansion_slack(nb, x_min, x_max, y_min, y_max, h, delta, boost, ea, eb):
     A = [(1 - boost) * c1a, boost * c2a * ea, c3a, -delta * t4a, -(1 - delta) * t5a, -t6a * ea]
     B = [(1 - boost) * c1b, boost * c2a * eb, boost * c2b, -t5b, -t6a * eb]
     C = [c3b, -t4b, t5b, -t6b]
+    del t4a, t4b, t5a, t5b, t6a, t6b  # as in _pair_slack
     return _corner_min(nb, A, B, C, x_min, x_max, y_min, y_max)
 
 
 def _certify(lemma, params, weight, slack_fn, slack_args, intervals,
              grid_n, margin, confirm, slack_csv) -> CertReport:
     """Scan ``slack_fn`` over a grid_n x grid_n subdivision of every x-interval
-    times y in [0, min(x, delta)], folding the cell slacks in row order.
+    times y in [0, min(x, delta)], a block of x-rows per call, folding the
+    cell slacks in row-major order.
     ``params`` (the report's echo) holds ``delta`` and the chord weight named
     ``weight``; ``slack_args(lo, hi)`` gives slack_fn's trailing arguments."""
     t0 = time.perf_counter()
@@ -362,33 +374,50 @@ def _certify(lemma, params, weight, slack_fn, slack_args, intervals,
 
     min_slack, argmin, corners, fail_count, error_bound = math.inf, None, 0, 0, 0.0
     failing, spots = [], []
+    rows = max(1, _BLOCK_CELLS // grid_n)
     with open(slack_csv, "w", newline="") if slack_csv else contextlib.nullcontext() as fh:
         writer = csv.writer(fh) if fh else None
         for idx, (lo, hi) in enumerate(intervals):
             args = slack_args(lo, hi)
-            xs = np.linspace(float(lo), float(hi), grid_n + 1)
+            xs = np.linspace(float(lo), float(hi), grid_n + 1)[:, None]
             hx = entropy_lower(xs)
             spot = (math.inf, None, None)  # (slack, (i, j), cell) of the interval's minimum
-            for i in range(grid_n):
-                x_min, x_max = float(xs[i]), float(xs[i + 1])
-                ys = np.linspace(0.0, min(x_max, delta), grid_n + 1)
+            for r0 in range(0, grid_n, rows):
+                r1 = min(r0 + rows, grid_n)
+                x_min, x_max = xs[r0:r1], xs[r0 + 1 : r1 + 1]
+                y_top = np.minimum(x_max, delta)
+                # rows that all reach y = delta share one y-row, and with it
+                # every term that depends on y alone
+                if np.all(y_top == delta):
+                    ys = np.linspace(0.0, delta, grid_n + 1)[None, :]
+                else:  # a row-major copy: linspace along axis 1 is column-major
+                    ys = np.ascontiguousarray(np.linspace(0.0, y_top[:, 0], grid_n + 1, axis=1))
                 hy = entropy_lower(ys)
                 sl, extra, err = slack_fn(
-                    _F64, x_min, x_max, ys[:-1], ys[1:], (hx[i], hx[i + 1], hy[:-1], hy[1:]), *args
+                    _F64, x_min, x_max, ys[:, :-1], ys[:, 1:],
+                    (hx[r0:r1], hx[r0 + 1 : r1 + 1], hy[:, :-1], hy[:, 1:]), *args,
                 )
-                corners += 4 * grid_n + int(np.count_nonzero(extra))
+                corners += 4 * sl.size + int(np.count_nonzero(extra))
                 error_bound = max(error_bound, float(np.max(err)))
-                j = int(np.argmin(sl))
-                if sl[j] < spot[0]:
-                    spot = (float(sl[j]), (i, j), (x_min, x_max, float(ys[j]), float(ys[j + 1])))
-                bad = np.nonzero(sl - err < margin)[0]
+                # argmin takes the first of equal minima in row-major order,
+                # and a later block must be strictly lower: the earliest wins
+                i, j = divmod(int(np.argmin(sl)), grid_n)
+                if sl[i, j] < spot[0]:
+                    y_ends = ys[i if len(ys) > 1 else 0, j : j + 2].tolist()
+                    cell = (float(x_min[i, 0]), float(x_max[i, 0]), *y_ends)
+                    spot = (float(sl[i, j]), (r0 + i, j), cell)
+                bad = np.argwhere(sl - err < margin)
                 fail_count += len(bad)
                 failing.extend(
-                    (idx, i, int(jb), float(sl[jb])) for jb in bad[: _FAIL_CAP - len(failing)]
+                    (idx, r0 + int(ib), int(jb), float(sl[ib, jb]))
+                    for ib, jb in bad[: _FAIL_CAP - len(failing)]
                 )
                 if writer:
-                    rows = enumerate(zip(sl.tolist(), err.tolist()))
-                    writer.writerows([idx, i, k, repr(s), repr(e)] for k, (s, e) in rows)
+                    for row, (srow, erow) in enumerate(zip(sl.tolist(), err.tolist()), r0):
+                        writer.writerows(
+                            [idx, row, col, repr(s), repr(e)]
+                            for col, (s, e) in enumerate(zip(srow, erow))
+                        )
             if spot[0] < min_slack:
                 min_slack, argmin = spot[0], (idx, *spot[1])
             spots.append((spot[2], args))

@@ -1,14 +1,19 @@
+import contextlib
 import csv
 import hashlib
 import json
+import math
 import random
 
 import numpy as np
 import pytest
 from mpmath import iv
 
+from superconc import certifier
 from superconc.certifier import (
+    _BLOCK_CELLS,
     _F64,
+    _FAIL_CAP,
     _IV,
     _corner_min,
     _expansion_slack,
@@ -16,9 +21,12 @@ from superconc.certifier import (
     _iv_slack,
     _iv_tangent,
     _pair_slack,
+    _recheck,
     _segment_for,
+    CertReport,
     certify_expansion_inequality,
     certify_pair_inequality,
+    entropy_lower,
 )
 from superconc.entropy import entropy
 from superconc.profiles import density253_constants, expansion_profile
@@ -424,3 +432,163 @@ def test_slack_csv_reproduces_failing_cells(tmp_path):
     assert at.failing_count >= 1
     assert len(failing) == at.failing_count
     assert failing == [c[:3] for c in at.failing_cells]
+
+
+# --- blocked scan against the row-by-row reference -------------------------------
+
+
+def _certify_by_rows(lemma, params, weight, slack_fn, slack_args, intervals,
+                     grid_n, margin, confirm, slack_csv):
+    """The scan one x-row per numpy call, x a float and y a numpy row, as it
+    was before rows were blocked: the reference the blocked driver must
+    reproduce bit for bit.  It takes the driver's arguments, so it can stand
+    in for ``certifier._certify``; inputs are assumed valid."""
+    delta = params["delta"]
+    min_slack, argmin, corners, fail_count, error_bound = math.inf, None, 0, 0, 0.0
+    failing, spots = [], []
+    with open(slack_csv, "w", newline="") if slack_csv else contextlib.nullcontext() as fh:
+        writer = csv.writer(fh) if fh else None
+        for idx, (lo, hi) in enumerate(intervals):
+            args = slack_args(lo, hi)
+            xs = np.linspace(float(lo), float(hi), grid_n + 1)
+            hx = entropy_lower(xs)
+            spot = (math.inf, None, None)
+            for i in range(grid_n):
+                x_min, x_max = float(xs[i]), float(xs[i + 1])
+                ys = np.linspace(0.0, min(x_max, delta), grid_n + 1)
+                hy = entropy_lower(ys)
+                sl, extra, err = slack_fn(
+                    _F64, x_min, x_max, ys[:-1], ys[1:], (hx[i], hx[i + 1], hy[:-1], hy[1:]), *args
+                )
+                corners += 4 * grid_n + int(np.count_nonzero(extra))
+                error_bound = max(error_bound, float(np.max(err)))
+                j = int(np.argmin(sl))
+                if sl[j] < spot[0]:
+                    spot = (float(sl[j]), (i, j), (x_min, x_max, float(ys[j]), float(ys[j + 1])))
+                bad = np.nonzero(sl - err < margin)[0]
+                fail_count += len(bad)
+                failing.extend(
+                    (idx, i, int(jb), float(sl[jb])) for jb in bad[: _FAIL_CAP - len(failing)]
+                )
+                if writer:
+                    rows = enumerate(zip(sl.tolist(), err.tolist()))
+                    writer.writerows([idx, i, k, repr(s), repr(e)] for k, (s, e) in rows)
+            if spot[0] < min_slack:
+                min_slack, argmin = spot[0], (idx, *spot[1])
+            spots.append((spot[2], args))
+    return CertReport(
+        lemma=lemma,
+        params=params,
+        grid=grid_n,
+        margin=margin,
+        min_slack=min_slack,
+        argmin_cell=argmin,
+        corners_evaluated=corners,
+        cells_checked=len(intervals) * grid_n * grid_n,
+        failing_cells=failing,
+        failing_count=fail_count,
+        error_bound=error_bound,
+        runtime_seconds=0.0,
+        recheck=_recheck(spots, slack_fn, margin) if confirm else None,
+    )
+
+
+REFERENCE_CASES = [
+    pytest.param(certify_pair_inequality, {"grid_n": 1}, id="pair-1"),
+    pytest.param(certify_pair_inequality, {"grid_n": 7, "confirm": True}, id="pair-7"),
+    pytest.param(certify_pair_inequality, {"grid_n": 33}, id="pair-33"),
+    pytest.param(certify_expansion_inequality, {"grid_n": 1}, id="expansion-1"),
+    pytest.param(certify_expansion_inequality, {"grid_n": 7}, id="expansion-7"),
+    pytest.param(certify_expansion_inequality, {"grid_n": 33}, id="expansion-33"),
+    pytest.param(certify_pair_inequality, {"grid_n": 150, "confirm": True}, id="pair-150"),
+    pytest.param(certify_expansion_inequality, {"grid_n": 60, "confirm": True}, id="expansion-60"),
+    pytest.param(certify_pair_inequality, {"grid_n": 100, "margin": 0.0016}, id="pair-100-failing"),
+]
+
+
+# the scan's own block size, one cell (every row wider than a block), and 200
+# cells (grid 33 leaves a last block of 3 rows after five of 6)
+@pytest.mark.parametrize("block", [_BLOCK_CELLS, 1, 200])
+@pytest.mark.parametrize("run, kwargs", REFERENCE_CASES)
+def test_blocked_scan_matches_row_by_row_reference(tmp_path, monkeypatch, block, run, kwargs):
+    blocked_csv, rows_csv = tmp_path / "blocked.csv", tmp_path / "rows.csv"
+    with monkeypatch.context() as m:
+        m.setattr(certifier, "_BLOCK_CELLS", block)
+        blocked = run(slack_csv=str(blocked_csv), **kwargs)
+    with monkeypatch.context() as m:
+        m.setattr(certifier, "_certify", _certify_by_rows)
+        reference = run(slack_csv=str(rows_csv), **kwargs)
+    assert blocked.to_json_dict() == reference.to_json_dict()
+    assert blocked_csv.read_bytes() == rows_csv.read_bytes()
+
+
+def _flat_slack(nb, x_min, x_max, y_min, y_max, h):
+    """A slack of 0 on every cell, so that all cells tie."""
+    shape = np.broadcast(x_min, y_min).shape
+    return np.zeros(shape), np.zeros(shape, dtype=bool), np.zeros(shape)
+
+
+@pytest.mark.parametrize("block", [_BLOCK_CELLS, 1, 200])
+def test_equal_slacks_keep_the_first_cell(monkeypatch, block):
+    # on ties the earliest cell in (interval, i, j) order is the minimum, in
+    # the report and in the cell each interval hands to the spot check
+    monkeypatch.setattr(certifier, "_BLOCK_CELLS", block)
+    args = ("pair-expansion", {"delta": 0.325, "p": 0.45}, "p", _flat_slack, lambda lo, hi: (),
+            [(0.3, 0.31), (0.31, 0.3322)], 33, 0.0, False, None)
+    blocked = certifier._certify(*args)
+    assert blocked.to_json_dict() == _certify_by_rows(*args).to_json_dict()
+    assert blocked.argmin_cell == (0, 0, 0)
+
+
+def test_reference_cases_include_a_block_mixing_both_y_ranges():
+    # at grid 150 the scan's last block is partial and holds rows whose
+    # y-range stops below delta next to rows that reach it, so its rows
+    # cannot share one y-row
+    rows = _BLOCK_CELLS // 150
+    xs = np.linspace(0.3, 0.3322, 151)
+    reach = np.minimum(xs[1:], 0.325) == 0.325
+    last = reach[150 - 150 % rows :]
+    assert 0 < 150 % rows and last.any() and not last.all()
+
+
+def test_failing_cell_cap_keeps_the_first_cells_across_blocks(tmp_path):
+    # every cell fails margin 1, so the cap of 10 000 cells runs out inside
+    # the second block of rows; the cells kept are the first ones in
+    # (interval, i, j) order, exactly the first failing rows of the CSV
+    path = tmp_path / "slacks.csv"
+    report = certify_pair_inequality(grid_n=150, margin=1.0, slack_csv=str(path))
+    assert report.failing_count == 21_987
+    assert len(report.failing_cells) == _FAIL_CAP == 10_000
+    assert report.failing_cells[-1][1] >= _BLOCK_CELLS // 150
+    with open(path, newline="") as fh:
+        failing = [
+            (int(a), int(i), int(j), float(s))
+            for a, i, j, s, e in csv.reader(fh)
+            if float(s) - float(e) < report.margin
+        ]
+    assert len(failing) == report.failing_count
+    assert report.failing_cells == failing[:_FAIL_CAP]
+
+
+# --- parameters rounded to floats ------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "run, grid, name",
+    [
+        (certify_pair_inequality, 100, "delta"),
+        (certify_pair_inequality, 100, "p"),
+        (certify_expansion_inequality, 60, "delta"),
+        (certify_expansion_inequality, 60, "boost"),
+    ],
+)
+def test_one_ulp_in_a_parameter_barely_moves_the_minimum_slack(run, grid, name):
+    # the certificates hold for float-rounded parameters; a measurement of
+    # how far the minimum slack moves when one of them moves by one ulp
+    # either way (at most 1.1e-16 when measured), not a bound
+    base = run(grid_n=grid)
+    value = base.params[name]
+    for toward in (-math.inf, math.inf):
+        moved = run(grid_n=grid, **{name: math.nextafter(value, toward)})
+        assert moved.passed
+        assert abs(moved.min_slack - base.min_slack) <= 1e-12
