@@ -16,7 +16,8 @@ sound on its own: the envelopes below hold in float64, chord ends computed in
 floats are widened by their rounding, and each cell carries a bound on the
 rounding of its slack (Higham, Accuracy and Stability of Numerical
 Algorithms, ch. 3).  A cell passes when its slack minus that bound clears the
-margin.  The one assumption is that numpy's exp, log and log1p are within one
+margin; a NaN slack fails, and a scan whose minimum is not finite passes
+nothing.  The one assumption is that numpy's exp, log and log1p are within one
 ulp (relative error at most 2u, u = 2^-53); measured against mpmath they stay
 within 0.66 ulp.
 
@@ -24,10 +25,13 @@ Each inequality and the corner rule are written once against a number
 backend: float64 over a block of consecutive x-rows, or mpmath interval
 arithmetic over one cell.  In a block the x quantities are columns and the y
 quantities rows; when every x-cell of the block reaches y = delta, the block
-shares one y-row, and the terms in y alone are computed once for it.  The
-optional spot check (``confirm``) encloses the slack of the scan's minimum
-cell in every x-interval with the interval backend, at 113 bits; mpmath is
-imported only then.
+shares one y-row, and the terms in y alone are computed once for it.  Of the
+two corners at each y-level the float64 backend evaluates only the lower
+one, which the sign of the x-coefficient picks (a corner rounds monotonically
+in x); the interval backend evaluates both.  The optional spot check
+(``confirm``) encloses the slack of the scan's minimum cell in every
+x-interval with the interval backend, at 113 bits; mpmath is imported only
+then.
 """
 
 from __future__ import annotations
@@ -59,8 +63,8 @@ __all__ = [
 _FAIL_CAP = 10_000
 # cells per block of consecutive x-rows that the scan hands to numpy at once
 # (at least one row).  Larger blocks pay numpy's per-call overhead less often,
-# but the live temporaries, about 25 block-sized arrays, grow with them.
-_BLOCK_CELLS = 8192
+# but the live arrays, at most about 22 block-sized ones, grow with them.
+_BLOCK_CELLS = 16384
 _RECHECK_BITS = 113
 U = 2.0**-53  # unit roundoff of float64
 _TINY = 2.0**-1022
@@ -76,9 +80,21 @@ def entropy_lower(x):
     assumed to lie in [0, 1].
     """
     x = np.asarray(x, dtype=float)
-    a = np.where(x > 0.0, x, 1.0)  # x ln x -> 0 at x = 0
-    b = np.where(x < 1.0, x, 0.0)  # (1-x) ln(1-x) -> 0 at x = 1
-    return (-a * np.log(a) - (1.0 - b) * np.log1p(-b)) * (1.0 - 7 * U)
+    a = _masked(x, x > 0.0, 1.0)  # x ln x -> 0 at x = 0
+    b = _masked(x, x < 1.0, 0.0)  # (1-x) ln(1-x) -> 0 at x = 1
+    h = -a
+    h *= np.log(a)
+    t = np.log1p(-b)
+    t *= 1.0 - b
+    h -= t
+    h *= 1.0 - 7 * U
+    return h
+
+
+def _masked(v, keep, fill):
+    """v where ``keep`` holds and ``fill`` elsewhere; v itself, not a copy,
+    when ``keep`` holds everywhere, which is the case the scan meets."""
+    return v if keep.all() else np.where(keep, v, fill)
 
 
 def chord_coefficients(lo, hi, h_lo=None, h_hi=None):
@@ -97,12 +113,18 @@ def chord_coefficients(lo, hi, h_lo=None, h_hi=None):
     h_lo = entropy_lower(lo) if h_lo is None else h_lo
     h_hi = entropy_lower(hi) if h_hi is None else h_hi
     width = hi - lo
-    safe = np.where(width > 0.0, width, 1.0)
-    slope = np.where(width > 0.0, (h_hi - h_lo) / safe, 0.0)
+    proper = width > 0.0
+    if proper.all():
+        slope = (h_hi - h_lo) / width
+    else:
+        slope = np.where(proper, (h_hi - h_lo) / np.where(proper, width, 1.0), 0.0)
     intercept = np.minimum(h_lo - slope * lo, h_hi - slope * hi)
     # h - slope*x rounds twice, and the step down once more
-    size = np.maximum(np.abs(h_lo), np.abs(h_hi)) + np.abs(slope) * hi
-    return intercept - 4 * U * size, slope
+    size = np.abs(slope) * hi
+    size += np.maximum(np.abs(h_lo), np.abs(h_hi))
+    size *= 4 * U
+    intercept -= size
+    return intercept, slope
 
 
 def tangent_coefficients(lo, hi):
@@ -117,13 +139,21 @@ def tangent_coefficients(lo, hi):
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    interior = (hi > 0.0) & (lo < 1.0)
     # any tangent point in (0, 1) gives a line above H, so a midpoint that
     # rounds onto 0 or 1 is moved inside; the floor keeps (1-m)/m finite
-    m = np.minimum(np.maximum(0.5 * (lo + hi), _TINY), 1.0 - U)
-    slope = np.where(interior, np.log((1.0 - m) / m), 0.0)
-    intercept = np.log1p(np.exp(-slope)) * (1.0 + 6 * U) + _TINY
-    return np.where(interior, intercept, 0.0), slope
+    m = lo + hi
+    m *= 0.5
+    m = np.clip(m, _TINY, 1.0 - U)
+    slope = 1.0 - m
+    slope /= m
+    slope = np.log(slope)
+    intercept = np.log1p(np.exp(-slope))
+    intercept *= 1.0 + 6 * U
+    intercept += _TINY
+    interior = (hi > 0.0) & (lo < 1.0)
+    if not interior.all():
+        intercept, slope = np.where(interior, intercept, 0.0), np.where(interior, slope, 0.0)
+    return intercept, slope
 
 
 # Forming a cell's slack rounds any product of inputs fewer than _ROUNDINGS
@@ -155,7 +185,8 @@ class CertReport:
 
     @property
     def passed(self) -> bool:
-        ok = self.failing_count == 0 and self.min_slack >= self.margin
+        # a NaN or infinite minimum certifies nothing
+        ok = self.failing_count == 0 and self.margin <= self.min_slack < math.inf
         if self.recheck is not None:
             ok = ok and self.recheck["all_clear"]
         return ok
@@ -188,6 +219,32 @@ def _outward(lo, hi, spread):
     return lo * (1 - w), np.minimum(hi * (1 + w), 1.0)
 
 
+def _corner(a, b, c, x, y):
+    """The affine function a + b*x + c*y at the point (x, y)."""
+    return a + b * x + c * y
+
+
+def _f64_lower_corner(a, b, c, left, right, y):
+    """The lower of the corners (left, y) and (right, y), left <= right.  In
+    float64 a corner is still monotone in x, rising with it where b >= 0, so
+    the sign of b picks the lower one, and only that one is evaluated."""
+    return _corner(a, b, c, np.where(b < 0, right, left), y)
+
+
+def _f64_vertex(sl, extra, a, b, c, x):
+    """``sl`` lowered to the corner (x, x) on the cells where ``extra``
+    holds, evaluating it on those cells only; writes into ``sl``."""
+    sl = np.asarray(sl)
+    extra, a, b, c, x, _ = np.broadcast_arrays(extra, a, b, c, x, sl)
+    cells = np.flatnonzero(extra)
+    if cells.size:
+        at = x.flat[cells]
+        sl.flat[cells] = np.minimum(
+            sl.flat[cells], _corner(a.flat[cells], b.flat[cells], c.flat[cells], at, at)
+        )
+    return sl
+
+
 # float64 backend over a block of x-rows: x quantities are (rows, 1) columns,
 # y quantities a shared (1, n) row or a (rows, n) block, and numpy
 # broadcasting forms the mixed terms.  chord and tangent look up the
@@ -200,7 +257,8 @@ _F64 = SimpleNamespace(
     clip=lambda v: np.clip(v, 0.0, 1.0),
     minimum=np.minimum,
     maximum=np.maximum,
-    where=np.where,
+    lower_corner=_f64_lower_corner,
+    vertex=_f64_vertex,
     log=math.log,
 )
 
@@ -277,30 +335,59 @@ _IV = SimpleNamespace(
     clip=lambda v: _iv_min(_iv_max(v, 0), 1),
     minimum=_iv_min,
     maximum=_iv_max,
-    where=lambda cond, a, b: a if cond else b,
+    # the sign of an enclosure of b can be undecided, so both corners count
+    lower_corner=lambda a, b, c, left, right, y: _iv_min(
+        _corner(a, b, c, left, y), _corner(a, b, c, right, y)
+    ),
+    vertex=lambda sl, extra, a, b, c, x: _iv_min(sl, _corner(a, b, c, x, x)) if extra else sl,
     log=_iv_log,
 )
 
 
+def _total(terms, total=0):
+    """``total`` plus the terms, added left to right as the builtin sum adds
+    them; once the partial sum is an array of the final shape the remaining
+    terms are added into it.  Only ``total`` is written to, so pass a fresh
+    one or none."""
+    terms = list(terms)
+    shape = np.broadcast(total, *terms).shape
+    for t in terms:
+        if type(total) is np.ndarray and total.shape == shape:
+            total += t
+        else:
+            total = total + t
+    return total
+
+
+def _sums(terms):
+    """The sum of the products in ``terms`` and the sum of their absolute
+    values.  Empties ``terms``: the slack functions build each list for this
+    call alone, so its products are freed as soon as both sums hold them."""
+    sums = _total(terms), _total(map(abs, terms))
+    terms.clear()
+    return sums
+
+
 def _corner_min(nb, A, B, C, x_min, x_max, y_min, y_max):
     """Minimum of a + b*x + c*y, with a, b, c the sums of the product lists
-    A, B, C, over the extreme points of each feasible cell (y_min <= x_max)
-    clipped to y <= x; the mask of cells whose diagonal crosses the left edge,
-    adding the vertex (x_min, x_min) to four corners; and a bound on the
-    rounding error of each minimum, gamma_n times the sum of the absolute
-    products (coordinates are nonnegative)."""
-    a, b, c = sum(A), sum(B), sum(C)
-    err = _GAMMA * (sum(map(abs, A)) + sum(map(abs, B)) * x_max + sum(map(abs, C)) * y_max)
+    A, B, C (which it empties), over the extreme points of each feasible cell
+    (y_min <= x_max) clipped to y <= x: four corners, of which the lower one
+    at each y-level is evaluated, and the vertex (x_min, x_min) where the
+    diagonal crosses the left edge.  Returns that minimum, the mask of cells
+    with the fifth vertex, and a bound on the rounding error of each minimum,
+    gamma_n times the sum of the absolute products (coordinates are
+    nonnegative)."""
+    (a, abs_a), (b, abs_b), (c, abs_c) = _sums(A), _sums(B), _sums(C)
+    err = _total([abs_b * x_max, abs_c * y_max], abs_a)
+    err *= _GAMMA
+    del abs_b, abs_c  # freed before the corners are formed
     y_hi = nb.minimum(y_max, x_max)
-    # nested, so that no corner array outlives the comparison it takes part in
     sl = nb.minimum(
-        nb.minimum(a + b * nb.maximum(x_min, y_min) + c * y_min, a + b * x_max + c * y_min),
-        nb.minimum(a + b * nb.maximum(x_min, y_hi) + c * y_hi, a + b * x_max + c * y_hi),
+        nb.lower_corner(a, b, c, nb.maximum(x_min, y_min), x_max, y_min),
+        nb.lower_corner(a, b, c, nb.maximum(x_min, y_hi), x_max, y_hi),
     )
     extra = (y_min < x_min) & (x_min < y_hi)
-    if np.any(extra):
-        sl = nb.where(extra, nb.minimum(sl, a + b * x_min + c * x_min), sl)
-    return sl, extra, err
+    return nb.vertex(sl, extra, a, b, c, x_min), extra, err
 
 
 def _pair_slack(nb, x_min, x_max, y_min, y_max, h, delta, p):
@@ -319,9 +406,9 @@ def _pair_slack(nb, x_min, x_max, y_min, y_max, h, delta, p):
     A = [(1 - p) * c1a, c2a, -delta * t3a, -(1 - delta) * t4a]
     B = [(1 - p) * c1b, 2 * p * nb.log(2), -t4b, -t5a]
     C = [c2b, -t3b, t4b, -t5b]
-    # the lists hold what the corners need; freeing the tangents now lowers
-    # the peak memory of a block
-    del t3a, t3b, t4a, t4b, t5a, t5b
+    # the lists now hold the only references to the envelopes, so that
+    # _corner_min frees them once it has summed the lists
+    del c1a, c1b, c2a, c2b, t3a, t3b, t4a, t4b, t5a, t5b
     return _corner_min(nb, A, B, C, x_min, x_max, y_min, y_max)
 
 
@@ -342,11 +429,18 @@ def _expansion_slack(nb, x_min, x_max, y_min, y_max, h, delta, boost, ea, eb):
         nb.clip((x_min - y_max) / (1 - delta)), nb.clip((x_max - y_min) / (1 - delta))
     )
     t6a, t6b = nb.tangent(nb.clip(y_min / e_max), nb.clip(y_max / e_min))  # H(y/e(x)), upper
-    A = [(1 - boost) * c1a, boost * c2a * ea, c3a, -delta * t4a, -(1 - delta) * t5a, -t6a * ea]
-    B = [(1 - boost) * c1b, boost * c2a * eb, boost * c2b, -t5b, -t6a * eb]
+    A = [(1 - boost) * c1a, boost * c2a * ea, c3a, -delta * t4a, -(1 - delta) * t5a, t6a * -ea]
+    B = [(1 - boost) * c1b, boost * c2a * eb, boost * c2b, -t5b, t6a * -eb]
     C = [c3b, -t4b, t5b, -t6b]
-    del t4a, t4b, t5a, t5b, t6a, t6b  # as in _pair_slack
+    del c1a, c1b, c2a, c2b, c3a, c3b, t4a, t4b, t5a, t5b, t6a, t6b  # as in _pair_slack
     return _corner_min(nb, A, B, C, x_min, x_max, y_min, y_max)
+
+
+def _ranks_before(slack, best):
+    """Whether a cell of this slack displaces the minimum so far: NaN ranks
+    first, so that a scan reports it, then lower values; ties keep the
+    earlier cell."""
+    return slack < best or (math.isnan(slack) and not math.isnan(best))
 
 
 def _certify(lemma, params, weight, slack_fn, slack_args, intervals,
@@ -375,6 +469,7 @@ def _certify(lemma, params, weight, slack_fn, slack_args, intervals,
     min_slack, argmin, corners, fail_count, error_bound = math.inf, None, 0, 0, 0.0
     failing, spots = [], []
     rows = max(1, _BLOCK_CELLS // grid_n)
+    steps = np.arange(grid_n + 1, dtype=float)
     with open(slack_csv, "w", newline="") if slack_csv else contextlib.nullcontext() as fh:
         writer = csv.writer(fh) if fh else None
         for idx, (lo, hi) in enumerate(intervals):
@@ -389,9 +484,10 @@ def _certify(lemma, params, weight, slack_fn, slack_args, intervals,
                 # rows that all reach y = delta share one y-row, and with it
                 # every term that depends on y alone
                 if np.all(y_top == delta):
-                    ys = np.linspace(0.0, delta, grid_n + 1)[None, :]
-                else:  # a row-major copy: linspace along axis 1 is column-major
-                    ys = np.ascontiguousarray(np.linspace(0.0, y_top[:, 0], grid_n + 1, axis=1))
+                    y_top = y_top[:1]
+                # np.linspace(0, y_top, grid_n + 1) bit for bit, but row-major
+                ys = steps * (y_top / grid_n)
+                ys[:, -1] = y_top[:, 0]
                 hy = entropy_lower(ys)
                 sl, extra, err = slack_fn(
                     _F64, x_min, x_max, ys[:, :-1], ys[:, 1:],
@@ -399,28 +495,29 @@ def _certify(lemma, params, weight, slack_fn, slack_args, intervals,
                 )
                 corners += 4 * sl.size + int(np.count_nonzero(extra))
                 error_bound = max(error_bound, float(np.max(err)))
-                # argmin takes the first of equal minima in row-major order,
-                # and a later block must be strictly lower: the earliest wins
+                # argmin takes the first of equal minima in row-major order
+                # (the first NaN, if any), and a later block must rank
+                # strictly before it: the earliest cell wins
                 i, j = divmod(int(np.argmin(sl)), grid_n)
-                if sl[i, j] < spot[0]:
+                if spot[1] is None or _ranks_before(sl[i, j], spot[0]):
                     y_ends = ys[i if len(ys) > 1 else 0, j : j + 2].tolist()
                     cell = (float(x_min[i, 0]), float(x_max[i, 0]), *y_ends)
                     spot = (float(sl[i, j]), (r0 + i, j), cell)
-                bad = np.argwhere(sl - err < margin)
+                # negated, so that a NaN slack fails
+                bad = np.flatnonzero(~(sl - err >= margin))
                 fail_count += len(bad)
-                failing.extend(
-                    (idx, r0 + int(ib), int(jb), float(sl[ib, jb]))
-                    for ib, jb in bad[: _FAIL_CAP - len(failing)]
-                )
+                for k in bad[: _FAIL_CAP - len(failing)].tolist():
+                    ib, jb = divmod(k, grid_n)
+                    failing.append((idx, r0 + ib, jb, float(sl[ib, jb])))
                 if writer:
                     for row, (srow, erow) in enumerate(zip(sl.tolist(), err.tolist()), r0):
                         writer.writerows(
                             [idx, row, col, repr(s), repr(e)]
                             for col, (s, e) in enumerate(zip(srow, erow))
                         )
-            if spot[0] < min_slack:
+            if argmin is None or _ranks_before(spot[0], min_slack):
                 min_slack, argmin = spot[0], (idx, *spot[1])
-            spots.append((spot[2], args))
+            spots.append((spot[0], spot[2], args))
 
     recheck = _recheck(spots, slack_fn, margin) if confirm else None
     return CertReport(
@@ -455,15 +552,17 @@ def _iv_slack(slack_fn, cell, args):
         iv.prec = prec
 
 
-def _recheck(cells, slack_fn, margin) -> dict:
-    """Enclose the slack of each (cell, args) in mpmath.iv; the lower ends
-    must clear the margin."""
-    worst = min(_iv_slack(slack_fn, cell, args).a for cell, args in cells)
+def _recheck(spots, slack_fn, margin) -> dict:
+    """Enclose in mpmath.iv the slack of each (scan slack, cell, args); the
+    lower ends must clear the margin.  A cell whose scan slack is not finite
+    has nothing to confirm, and leaves the check not clear."""
+    lows = [_iv_slack(slack_fn, cell, args).a for sl, cell, args in spots if math.isfinite(sl)]
+    worst = min(lows, default=math.nan)
     return {
-        "cells": len(cells),
+        "cells": len(lows),
         "precision_bits": _RECHECK_BITS,
         "min_slack": float(worst),
-        "all_clear": bool(worst >= margin),
+        "all_clear": len(lows) == len(spots) and bool(worst >= margin),
     }
 
 

@@ -134,6 +134,8 @@ def _load_or_sample_graph(args) -> randgraph.BipartiteGraph:
 
 
 def _cmd_check_expansion(args) -> int:
+    if args.k_max < 1:
+        raise ValueError(f"--k-max must be >= 1, got {args.k_max}")
     g = _load_or_sample_graph(args)
     constants = profiles.density253_constants()
     if args.profile:

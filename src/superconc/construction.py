@@ -472,7 +472,7 @@ def verify_superconcentrator(
 
     Exhaustive mode scans all pairs (sum over k of C(n,k)^2 of them) and
     refuses beyond the budget; sampled mode draws (k, S, T) uniformly from
-    seeded substreams.
+    seeded substreams, at least one trial.
     """
     n = len(dag.inputs)
     solver = _FlowSolver(dag)
@@ -492,6 +492,8 @@ def verify_superconcentrator(
                         return VerifyReport(False, mode, checked, (k, S, T, got))
         return VerifyReport(True, mode, checked, None)
     if mode == "sampled":
+        if trials < 1:
+            raise ValueError(f"trials must be >= 1, got {trials}")
         for t in range(trials):
             rng = random.Random(derive_seed("verify", seed, t))
             k = rng.randint(1, n)

@@ -7,6 +7,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from mpmath import iv
 
 from superconc import certifier
@@ -14,6 +16,7 @@ from superconc.certifier import (
     _BLOCK_CELLS,
     _F64,
     _FAIL_CAP,
+    _GAMMA,
     _IV,
     _corner_min,
     _expansion_slack,
@@ -97,6 +100,93 @@ def test_corner_minimum_dominates_feasible_polygon():
                 if y > x:
                     continue
                 assert A + B * x + Cc * y >= corner_min - 1e-12
+
+
+def _corner_min_four(A, B, Cc, x_min, x_max, y_min, y_max):
+    """The corner rule as the float64 scan first formed it: all four corners
+    with nested minima, and the fifth vertex evaluated on every cell and
+    merged by np.where; the reference the sign-picked corners must match."""
+    a, b, c = sum(A), sum(B), sum(Cc)
+    err = _GAMMA * (sum(map(abs, A)) + sum(map(abs, B)) * x_max + sum(map(abs, Cc)) * y_max)
+    y_hi = np.minimum(y_max, x_max)
+    sl = np.minimum(
+        np.minimum(a + b * np.maximum(x_min, y_min) + c * y_min, a + b * x_max + c * y_min),
+        np.minimum(a + b * np.maximum(x_min, y_hi) + c * y_hi, a + b * x_max + c * y_hi),
+    )
+    extra = (y_min < x_min) & (x_min < y_hi)
+    if np.any(extra):
+        sl = np.where(extra, np.minimum(sl, a + b * x_min + c * x_min), sl)
+    return sl, extra, err
+
+
+def _bits(v):
+    return np.asarray(v, dtype=float).tobytes()
+
+
+# eighths make corners tie exactly; signed zeros pick either corner
+_COEF = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.125, -0.125, 1.0, -1.0, 2.5, -2.5]),
+    st.floats(-4.0, 4.0),
+)
+_EIGHTHS = st.integers(0, 7).map(lambda k: k / 8)
+
+
+@st.composite
+def _cell_block(draw, shape):
+    """Feasible cells (y_min <= x_max): x-ends of the given (rows, 1) shape,
+    y-ends of shape (1, n) or (rows, n), some on eighths, some crossed by the
+    diagonal."""
+    rows, n = shape
+    ends = st.one_of(_EIGHTHS, st.floats(0.0, 0.875))
+    def values(elements, size):
+        return np.array(draw(st.lists(elements, min_size=size, max_size=size)))
+
+    x_min = values(ends.map(lambda v: v + 1 / 16), rows)
+    x_max = x_min + values(st.sampled_from([0.125, 0.0625, 0.01]), rows)
+    y_rows = draw(st.sampled_from([1, rows]))
+    y_min = values(ends, y_rows * n).reshape(y_rows, n)
+    y_min = np.minimum(y_min, x_max[:, None].min())  # feasible for every x-row
+    y_max = y_min + draw(st.sampled_from([0.125, 0.0625, 0.02]))
+    return x_min[:, None], x_max[:, None], y_min, y_max
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(_COEF, min_size=3, max_size=3),
+    st.lists(_COEF, min_size=3, max_size=3),
+    st.lists(_COEF, min_size=3, max_size=3),
+    st.data(),
+)
+@example([-0.0, -0.0, -0.0], [-0.0, -0.0, -0.0], [-0.0, -0.0, -0.0], None)  # sums are +0.0
+@example([0.0, 0.0, 0.0], [-0.0, -0.0, -0.0], [0.0, 0.0, -0.0], None)
+@example([1.0, 0.0, 0.0], [0.0, -0.0, 0.0], [-1.0, 0.0, 0.0], None)
+def test_sign_picked_corners_match_the_four_corner_form(a, b, c, data):
+    # each product list is a column term, a row term and a scalar, so the
+    # in-place sums meet every broadcast and the sign of b can change from
+    # cell to cell; the same coefficients on scalar cells come last
+    if data is None:
+        cells = [(0.375, 0.5, np.array([[0.25, 0.375]]), np.array([[0.375, 0.5]]), 1.0, 1.0)]
+    else:
+        rows, n = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4))
+        x_min, x_max, y_min, y_max = data.draw(_cell_block((rows, n)))
+        scale = st.sampled_from([1.0, -1.0, 0.5, -0.0])
+        col = np.array(data.draw(st.lists(scale, min_size=rows, max_size=rows)))[:, None]
+        row = np.array(data.draw(st.lists(scale, min_size=y_min.size, max_size=y_min.size)))
+        cells = [(x_min, x_max, y_min, y_max, col, row.reshape(y_min.shape))]
+        cells.append((*(float(v.flat[0]) for v in (x_min, x_max, y_min, y_max)), 1.0, 1.0))
+    for x_min, x_max, y_min, y_max, col, row in cells:
+
+        def lists():
+            return [[a[0] * col, a[1] * row, a[2]], [b[0] * col, b[1] * row, b[2]],
+                    [c[0] * col, c[1] * row, c[2]]]
+
+        inputs = [np.copy(v) for v in (x_min, x_max, y_min, y_max)]
+        got = _corner_min(_F64, *lists(), x_min, x_max, y_min, y_max)
+        want = _corner_min_four(*lists(), x_min, x_max, y_min, y_max)
+        for g, w in zip(got, want):
+            assert np.shape(g) == np.shape(w) and _bits(g) == _bits(w)
+        # nothing the caller passed was written to
+        assert all(_bits(u) == _bits(v) for u, v in zip(inputs, (x_min, x_max, y_min, y_max)))
 
 
 # --- pair inequality -----------------------------------------------------------
@@ -462,10 +552,12 @@ def _certify_by_rows(lemma, params, weight, slack_fn, slack_args, intervals,
                 )
                 corners += 4 * grid_n + int(np.count_nonzero(extra))
                 error_bound = max(error_bound, float(np.max(err)))
-                j = int(np.argmin(sl))
-                if sl[j] < spot[0]:
+                j = int(np.argmin(sl))  # the first NaN, if any
+                if spot[1] is None or sl[j] < spot[0] or (
+                    np.isnan(sl[j]) and not np.isnan(spot[0])
+                ):
                     spot = (float(sl[j]), (i, j), (x_min, x_max, float(ys[j]), float(ys[j + 1])))
-                bad = np.nonzero(sl - err < margin)[0]
+                bad = np.nonzero(~(sl - err >= margin))[0]
                 fail_count += len(bad)
                 failing.extend(
                     (idx, i, int(jb), float(sl[jb])) for jb in bad[: _FAIL_CAP - len(failing)]
@@ -473,9 +565,11 @@ def _certify_by_rows(lemma, params, weight, slack_fn, slack_args, intervals,
                 if writer:
                     rows = enumerate(zip(sl.tolist(), err.tolist()))
                     writer.writerows([idx, i, k, repr(s), repr(e)] for k, (s, e) in rows)
-            if spot[0] < min_slack:
+            if argmin is None or spot[0] < min_slack or (
+                math.isnan(spot[0]) and not math.isnan(min_slack)
+            ):
                 min_slack, argmin = spot[0], (idx, *spot[1])
-            spots.append((spot[2], args))
+            spots.append((spot[0], spot[2], args))
     return CertReport(
         lemma=lemma,
         params=params,
@@ -506,9 +600,13 @@ REFERENCE_CASES = [
 ]
 
 
-# the scan's own block size, one cell (every row wider than a block), and 200
-# cells (grid 33 leaves a last block of 3 rows after five of 6)
-@pytest.mark.parametrize("block", [_BLOCK_CELLS, 1, 200])
+# the scan's own block size, the earlier 8192 cells, one cell (every row wider
+# than a block), and 200 cells (grid 33 leaves a last block of 3 rows after
+# five of 6)
+BLOCK_SIZES = [_BLOCK_CELLS, 8192, 1, 200]
+
+
+@pytest.mark.parametrize("block", BLOCK_SIZES)
 @pytest.mark.parametrize("run, kwargs", REFERENCE_CASES)
 def test_blocked_scan_matches_row_by_row_reference(tmp_path, monkeypatch, block, run, kwargs):
     blocked_csv, rows_csv = tmp_path / "blocked.csv", tmp_path / "rows.csv"
@@ -528,7 +626,7 @@ def _flat_slack(nb, x_min, x_max, y_min, y_max, h):
     return np.zeros(shape), np.zeros(shape, dtype=bool), np.zeros(shape)
 
 
-@pytest.mark.parametrize("block", [_BLOCK_CELLS, 1, 200])
+@pytest.mark.parametrize("block", BLOCK_SIZES)
 def test_equal_slacks_keep_the_first_cell(monkeypatch, block):
     # on ties the earliest cell in (interval, i, j) order is the minimum, in
     # the report and in the cell each interval hands to the spot check
@@ -552,14 +650,16 @@ def test_reference_cases_include_a_block_mixing_both_y_ranges():
 
 
 def test_failing_cell_cap_keeps_the_first_cells_across_blocks(tmp_path):
-    # every cell fails margin 1, so the cap of 10 000 cells runs out inside
-    # the second block of rows; the cells kept are the first ones in
-    # (interval, i, j) order, exactly the first failing rows of the CSV
+    # every cell fails margin 1; each of the four x-intervals at grid 60 is
+    # one block of 3 600 cells, so the cap of 10 000 cells runs out inside
+    # the third block; the cells kept are the first ones in (interval, i, j)
+    # order, exactly the first failing rows of the CSV
     path = tmp_path / "slacks.csv"
-    report = certify_pair_inequality(grid_n=150, margin=1.0, slack_csv=str(path))
-    assert report.failing_count == 21_987
+    report = certify_expansion_inequality(grid_n=60, margin=1.0, slack_csv=str(path))
+    assert report.failing_count == 4 * 60 * 60
     assert len(report.failing_cells) == _FAIL_CAP == 10_000
-    assert report.failing_cells[-1][1] >= _BLOCK_CELLS // 150
+    first_block_rows = min(60, _BLOCK_CELLS // 60)
+    assert report.failing_cells[-1][:2] > (0, first_block_rows - 1)
     with open(path, newline="") as fh:
         failing = [
             (int(a), int(i), int(j), float(s))
@@ -568,6 +668,61 @@ def test_failing_cell_cap_keeps_the_first_cells_across_blocks(tmp_path):
         ]
     assert len(failing) == report.failing_count
     assert report.failing_cells == failing[:_FAIL_CAP]
+
+
+def test_repeated_scans_in_one_process_agree():
+    # the kernel writes only into arrays it made itself: nothing a scan
+    # leaves behind changes the next one
+    a = certify_pair_inequality(grid_n=150, confirm=True).to_json_dict()
+    b = certify_pair_inequality(grid_n=150, confirm=True).to_json_dict()
+    assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+def _filled_slack(value, from_x=0.0):
+    """A slack of ``value`` on the cells with x_min >= from_x, 0 on the rest."""
+
+    def slack(nb, x_min, x_max, y_min, y_max, h):
+        shape = np.broadcast(x_min, y_min).shape
+        sl = np.where(np.broadcast_to(x_min, shape) >= from_x, value, 0.0)
+        return sl, np.zeros(shape, dtype=bool), np.zeros(shape)
+
+    return slack
+
+
+@pytest.mark.parametrize("block", BLOCK_SIZES)
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_scan_without_a_finite_minimum_fails_at_its_first_cell(monkeypatch, block, value):
+    # a NaN slack must not pass as a cell clearing the margin, and a minimum
+    # that is not finite certifies nothing; both drivers agree, and the spot
+    # check has no cell to confirm
+    monkeypatch.setattr(certifier, "_BLOCK_CELLS", block)
+    args = ("pair-expansion", {"delta": 0.325, "p": 0.45}, "p", _filled_slack(value),
+            lambda lo, hi: (), [(0.3, 0.31), (0.31, 0.3322)], 20, 0.0, True, None)
+    blocked = certifier._certify(*args)
+    reference = _certify_by_rows(*args)
+    assert json.dumps(blocked.to_json_dict()) == json.dumps(reference.to_json_dict())
+    assert blocked.argmin_cell == (0, 0, 0)
+    assert not blocked.passed
+    assert blocked.recheck["cells"] == 0 and blocked.recheck["all_clear"] is False
+    if math.isnan(value):
+        assert math.isnan(blocked.min_slack)
+        assert blocked.failing_count == blocked.cells_checked == 2 * 20 * 20
+    else:
+        assert blocked.min_slack == math.inf and blocked.failing_count == 0
+
+
+def test_a_nan_slack_ranks_below_every_number(monkeypatch):
+    # the cells from x-row 7 of the first interval on are NaN, the rest 0:
+    # the minimum is the first NaN cell, and only NaN cells fail margin 0
+    monkeypatch.setattr(certifier, "_BLOCK_CELLS", 60)  # three rows a block
+    args = ("pair-expansion", {"delta": 0.325, "p": 0.45}, "p", _filled_slack(math.nan, 0.30345),
+            lambda lo, hi: (), [(0.3, 0.31), (0.31, 0.3322)], 20, 0.0, False, None)
+    blocked = certifier._certify(*args)
+    assert json.dumps(blocked.to_json_dict()) == json.dumps(_certify_by_rows(*args).to_json_dict())
+    assert blocked.argmin_cell == (0, 7, 0) and math.isnan(blocked.min_slack)
+    assert blocked.failing_count == 13 * 20 + 20 * 20
+    assert blocked.failing_cells[0][:3] == (0, 7, 0)
+    assert not blocked.passed
 
 
 # --- parameters rounded to floats ------------------------------------------------

@@ -231,6 +231,27 @@ def test_verify_exhaustive_budget_refusal(tmp_path, capsys):
     assert "sampled" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify-sc", "--trials", "0"], "trials must be >= 1, got 0"),
+        (["verify-sc", "--trials", "-3"], "trials must be >= 1, got -3"),
+        (["check-expansion", "--k-max", "0"], "--k-max must be >= 1, got 0"),
+    ],
+)
+def test_vacuous_check_counts_exit_two(tmp_path, capsys, argv, message):
+    # a check that would test nothing is refused, not reported as a pass
+    if argv[0] == "verify-sc":
+        graph = tmp_path / "sc8.json"
+        build = ["build-sc", "--n", "8", "--base", "4", "--expander", "complete"]
+        assert main(build + ["--output", str(graph)]) == 0
+        argv = argv + ["--graph", str(graph)]
+        capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and "PASS" not in captured.out
+
+
 def test_verify_complete_expander_exhaustive(tmp_path, capsys):
     graph = tmp_path / "sc8.json"
     rc = main(

@@ -251,6 +251,13 @@ def test_sampled_verify_gamma40():
     assert report.passed and report.pairs_checked == 40
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+def test_sampled_verify_rejects_a_vacuous_trial_count(trials):
+    # no pair checked would otherwise report a pass
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        verify_superconcentrator(gamma8_complete(), mode="sampled", trials=trials)
+
+
 def test_sampled_verify_is_deterministic():
     dag = gamma8_complete()
     a = verify_superconcentrator(dag, mode="sampled", trials=30, seed=5)

@@ -130,6 +130,87 @@ def test_tangent_coefficients_pinned_intervals_give_zero_function():
     assert np.all(ta == 0.0) and np.all(tb == 0.0)
 
 
+# --- the envelopes against their first written form -----------------------------
+
+
+def _entropy_lower_ref(x):
+    x = np.asarray(x, dtype=float)
+    a = np.where(x > 0.0, x, 1.0)
+    b = np.where(x < 1.0, x, 0.0)
+    return (-a * np.log(a) - (1.0 - b) * np.log1p(-b)) * (1.0 - 7 * U)
+
+
+def _chord_ref(lo, hi, h_lo=None, h_hi=None):
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    h_lo = _entropy_lower_ref(lo) if h_lo is None else h_lo
+    h_hi = _entropy_lower_ref(hi) if h_hi is None else h_hi
+    width = hi - lo
+    safe = np.where(width > 0.0, width, 1.0)
+    slope = np.where(width > 0.0, (h_hi - h_lo) / safe, 0.0)
+    intercept = np.minimum(h_lo - slope * lo, h_hi - slope * hi)
+    size = np.maximum(np.abs(h_lo), np.abs(h_hi)) + np.abs(slope) * hi
+    return intercept - 4 * U * size, slope
+
+
+def _tangent_ref(lo, hi):
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    interior = (hi > 0.0) & (lo < 1.0)
+    m = np.minimum(np.maximum(0.5 * (lo + hi), 2.0**-1022), 1.0 - U)
+    slope = np.where(interior, np.log((1.0 - m) / m), 0.0)
+    intercept = np.log1p(np.exp(-slope)) * (1.0 + 6 * U) + 2.0**-1022
+    return np.where(interior, intercept, 0.0), slope
+
+
+def _same(got, want):
+    """Equal shapes and equal bits, signed zeros included."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+_ENDS = np.array([0.0, 5e-324, 2.0**-100, 0.1, 0.325, 0.37, 0.5, 1 - 2.0**-53, 1.0])
+_PAIRS = [
+    pytest.param(0.3, 0.4, id="0d"),
+    pytest.param(0.37, 0.37, id="0d-degenerate"),
+    pytest.param(0.0, 0.0, id="0d-pinned-0"),
+    pytest.param(1.0, 1.0, id="0d-pinned-1"),
+    pytest.param(1.0 - 2.0**-53, 1.0, id="0d-midpoint-rounds-to-1"),
+    pytest.param(0.0, 5e-324, id="0d-midpoint-rounds-to-0"),
+    pytest.param(np.minimum(_ENDS, _ENDS[::-1]), np.maximum(_ENDS, _ENDS[::-1]), id="1d"),
+    pytest.param(_ENDS[:-1].reshape(4, 2), _ENDS[1:].reshape(4, 2), id="2d"),
+    pytest.param(_ENDS[:4, None], _ENDS[None, 3:], id="broadcast"),
+    pytest.param(np.array([[0.0], [1.0]]), np.array([[0.0, 1.0]]).clip(1.0), id="broadcast-pinned"),
+]
+
+
+@pytest.mark.parametrize("lo, hi", _PAIRS)
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_envelopes_keep_their_first_written_values(lo, hi):
+    # bit for bit, the chord on [0, 5e-324] whose slope overflows included
+    assert _same(entropy_lower(lo), _entropy_lower_ref(lo))
+    assert _same(entropy_lower(hi), _entropy_lower_ref(hi))
+    for got, want in zip(chord_coefficients(lo, hi), _chord_ref(lo, hi)):
+        assert _same(got, want)
+    for got, want in zip(tangent_coefficients(lo, hi), _tangent_ref(lo, hi)):
+        assert _same(got, want)
+    # node values handed in, as the scan does, and scalar ones
+    h_lo, h_hi = _entropy_lower_ref(lo), _entropy_lower_ref(hi)
+    for ends in ((h_lo, h_hi), (0.25, 0.5)):
+        for got, want in zip(chord_coefficients(lo, hi, *ends), _chord_ref(lo, hi, *ends)):
+            assert _same(got, want)
+
+
+def test_envelopes_write_nothing_they_were_passed():
+    lo, hi = _ENDS[:4, None].copy(), _ENDS[None, 3:].copy()
+    h_lo, h_hi = entropy_lower(lo), entropy_lower(hi)
+    kept = [v.copy() for v in (lo, hi, h_lo, h_hi)]
+    entropy_lower(lo)
+    chord_coefficients(lo, hi, h_lo, h_hi)
+    tangent_coefficients(lo, hi)
+    assert all(_same(v, k) for v, k in zip((lo, hi, h_lo, h_hi), kept))
+
+
 # --- soundness in float64, checked in 113-bit interval arithmetic ---------------
 
 
