@@ -142,16 +142,13 @@ def _cmd_check_expansion(args) -> int:
         profile = profiles.PiecewiseLinear.from_text(Path(args.profile).read_text())
     else:
         profile = profiles.expansion_profile(constants)
-    rep_e = randgraph.check_expander_profile(g, profile, args.k_max, args.budget)
-    payload = {"expansion": rep_e.as_dict()}
-    passed = rep_e.passed
+    reports = [randgraph.check_expander_profile(g, profile, args.k_max, args.budget)]
     if args.pairs:
-        rep_p = randgraph.check_pair_profile(g, args.gamma, args.alpha_max, args.budget)
-        payload["pair"] = rep_p.as_dict()
-        passed = passed and rep_p.passed
-    _write_report(args, payload)
+        reports.append(randgraph.check_pair_profile(g, args.gamma, args.alpha_max, args.budget))
+    _write_report(args, {rep.kind: rep.as_dict() for rep in reports})
+    passed = all(rep.passed for rep in reports)
     status = "PASS" if passed else "FAIL"
-    flags = "" if rep_e.complete else " (partial: budget hit)"
+    flags = "" if all(rep.complete for rep in reports) else " (partial: budget hit)"
     print(f"check-expansion {status}: n={g.n} k<={args.k_max}{flags}")
     return 0 if passed else _CHECK_FAILED
 

@@ -24,7 +24,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .profiles import PiecewiseLinear, density253_constants, expansion_profile
+from .profiles import density253_constants, expansion_profile
 from .randgraph import (
     DEFAULT_BUDGET,
     BipartiteGraph,
@@ -62,7 +62,10 @@ class BuildConfig:
     from level size n to either one graph (used for both columns) or a pair
     (forward, reverse-source).  Sampled expanders are drawn in the disjoint
     mode so each level adds exactly 2*(d*n + floor(delta*n)) + 2n edges, and
-    are retried until they pass the (budget-capped) expansion checks.
+    are retried until they pass the acceptance checks: exact expansion for
+    subset sizes 1..check_k_max and pair expansion up to min(check_k_max,
+    c3*n).  A size k with C(n, k) above ``check_budget`` ends a check, and
+    the level record says so with ``complete: false, truncated_at: k``.
     """
 
     base_size: int = 20
@@ -72,11 +75,7 @@ class BuildConfig:
     retry_limit: int = 8
     check_k_max: int = 2
     check_budget: int = 200_000
-    profile: PiecewiseLinear | None = None
     expanders: dict | None = None
-
-    def resolved_profile(self) -> PiecewiseLinear:
-        return self.profile if self.profile is not None else expansion_profile(density253_constants())
 
 
 class SuperDag:
@@ -271,18 +270,13 @@ def _validate_size(n: int, base: int) -> None:
 
 
 def _acceptance_checks(g: BipartiteGraph, cfg: BuildConfig):
-    n = g.n
-    k_cap = 0
-    for k in range(1, cfg.check_k_max + 1):
-        if math.comb(n, k) > cfg.check_budget:
-            break
-        k_cap = k
-    profile = cfg.resolved_profile()
-    rep_e = check_expander_profile(g, profile, k_cap, cfg.check_budget)
-    # pair expansion at gamma = 1 for alpha up to c3
-    pair_top = min(k_cap, math.floor(density253_constants().c3 * n))
-    rep_p = check_pair_profile(g, 1, Fraction(pair_top, n), cfg.check_budget)
-    return rep_e, rep_p
+    """Run both checks on g; return the level record's ``checks`` dict and
+    the first failing entry (None when both checks passed)."""
+    c = density253_constants()
+    rep_e = check_expander_profile(g, expansion_profile(c), cfg.check_k_max, cfg.check_budget)
+    rep_p = check_pair_profile(g, 1, min(Fraction(cfg.check_k_max, g.n), c.c3), cfg.check_budget)
+    checks = {"expansion": rep_e.as_dict(), "pair": rep_p.as_dict()}
+    return checks, rep_e.first_failure or rep_p.first_failure
 
 
 def _level_expander(cfg: BuildConfig, n: int, level: int, side: str):
@@ -294,30 +288,19 @@ def _level_expander(cfg: BuildConfig, n: int, level: int, side: str):
         g = entry[0 if side == "x" else 1] if isinstance(entry, tuple) else entry
         if g.n != n:
             raise BuildError(f"explicit expander for size {n} has n={g.n}")
-        rep_e, rep_p = _acceptance_checks(g, cfg)
-        info = {
-            "source": "explicit",
-            "checks": {"expansion": rep_e.as_dict(), "pair": rep_p.as_dict()},
-        }
-        return g, info
+        checks, _ = _acceptance_checks(g, cfg)
+        return g, {"source": "explicit", "checks": checks}
 
-    last_failure = None
+    failure = None
     for attempt in range(cfg.retry_limit):
         seed = derive_seed("level", cfg.seed, level, side, attempt)
         g = sample_g(n, cfg.d, cfg.delta, seed, disjoint=True)
-        rep_e, rep_p = _acceptance_checks(g, cfg)
-        if rep_e.passed and rep_p.passed:
-            info = {
-                "source": "random-disjoint",
-                "seed": seed,
-                "attempt": attempt,
-                "checks": {"expansion": rep_e.as_dict(), "pair": rep_p.as_dict()},
-            }
-            return g, info
-        last_failure = rep_e.first_failure or rep_p.first_failure
+        checks, failure = _acceptance_checks(g, cfg)
+        if failure is None:
+            return g, {"source": "random-disjoint", "seed": seed, "attempt": attempt, "checks": checks}
     raise BuildError(
         f"no expander of size {n} passed the checks within {cfg.retry_limit} attempts",
-        last_failure=last_failure,
+        last_failure=failure,
     )
 
 
@@ -329,6 +312,8 @@ def build_gamma(n: int, cfg: BuildConfig | None = None) -> SuperDag:
     """
     cfg = cfg if cfg is not None else BuildConfig()
     _validate_size(n, cfg.base_size)
+    if cfg.check_k_max < 1:
+        raise ValueError(f"check_k_max must be >= 1, got {cfg.check_k_max}")
     dag = SuperDag()
     X = [dag.add_node("input", 0, ("X", i)) for i in range(1, n + 1)]
     Y = [dag.add_node("output", 0, ("Y", i)) for i in range(1, n + 1)]

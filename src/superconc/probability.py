@@ -208,21 +208,19 @@ def exact_plr(n: int, ell: int, r: int, d: int) -> Fraction:
     return total
 
 
-def bassalygo_bound(n: int, ell: int, r: int, d: int, check: bool | None = None) -> Fraction:
+def bassalygo_bound(n: int, ell: int, r: int, d: int) -> Fraction:
     """Union bound C(n, r) * (C(r, ell)/C(n, ell))^d on the same event as
     :func:`exact_plr`.
 
-    By default the dominance over the exact value is verified whenever n is
-    small enough for that to be cheap.
+    For n <= 60, where it is cheap, the dominance over the exact value is
+    verified as well.
     """
     if not 1 <= ell <= n:
         raise ValueError(f"ell={ell} outside 1..{n}")
     if not 0 <= r <= n - 1:
         raise ValueError(f"r={r} outside 0..{n - 1}")
     bound = comb0(n, r) * Fraction(comb0(r, ell), comb0(n, ell)) ** d
-    if check is None:
-        check = n <= 60
-    if check:
+    if n <= 60:
         exact = exact_plr(n, ell, r, d)
         if exact > bound:
             raise ArithmeticError(f"exact value {exact} exceeds bound {bound}")

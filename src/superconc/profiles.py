@@ -216,14 +216,13 @@ def check_conditions(c: ProfileConstants, gamma=1, eps1=Fraction(3, 10)) -> Cond
     anchor sums below) are decided on rationals, so a zero-slack pass is
     reported as a pass.  Degree conditions on the profile slopes use the
     fractional d; the pair-expansion degree condition concerns the whole
-    permutation overlays only and uses floor(d).
+    permutation overlays only and uses floor(d).  Raises ValueError unless
+    c1 < c3 < c5, since the profile slopes are undefined otherwise.
     """
     gamma = as_fraction(gamma)
     eps1 = as_fraction(eps1)
-    s01 = c.c2 / c.c1                       # slope on (0, c1)
-    s12 = (c.c4 - c.c2) / (c.c3 - c.c1)     # slope on (c1, c3)
-    s23 = (c.c6 - c.c4) / (c.c5 - c.c3)     # slope on (c3, c5)
-    s34 = (1 - c.c6) / (1 - c.c5)           # slope on (c5, 1)
+    # slopes on (0, c1), (c1, c3), (c3, c5) and (c5, 1)
+    s01, s12, s23, s34 = expansion_profile(c).segment_slopes()
 
     checks = [
         ConditionCheck(

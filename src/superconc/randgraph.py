@@ -235,19 +235,20 @@ def pair_count(g: BipartiteGraph, U: Iterable[int]) -> int:
     return _pair_fold(_subset_mask(g, U), g.n // 2).bit_count()
 
 
-def _check_budget(n: int, k: int, budget: int) -> None:
-    count = math.comb(n, k)
-    if count > budget:
-        raise EnumerationBudgetError(f"scanning all C({n},{k}) size-{k} subsets", count, budget)
-
-
-def _min_subset_score(masks: tuple, k: int):
+def _min_subset_score(masks: tuple, k: int, budget: int):
     """Exact minimum of the popcount of the union of k masks, with the
     lexicographically smallest witness (1-based positions).
 
-    Popcount is nondecreasing under union, which lets partial unions prune.
+    Raises ValueError for k outside 1..n and EnumerationBudgetError when
+    C(n, k) exceeds the budget.  Popcount is nondecreasing under union,
+    which lets partial unions prune.
     """
     n = len(masks)
+    if not 1 <= k <= n:
+        raise ValueError(f"k={k} outside 1..{n}")
+    count = math.comb(n, k)
+    if count > budget:
+        raise EnumerationBudgetError(f"scanning all C({n},{k}) size-{k} subsets", count, budget)
     best = math.inf
     best_witness: tuple = ()
     chosen: list[int] = []
@@ -273,30 +274,27 @@ def _min_subset_score(masks: tuple, k: int):
     return int(best), best_witness
 
 
+def _pair_masks(g: BipartiteGraph) -> tuple:
+    # folding commutes with union, so a pair scan can run on folded masks
+    if g.n % 2:
+        raise ValueError(f"pair structure needs even n, got {g.n}")
+    half = g.n // 2
+    return tuple(_pair_fold(m, half) for m in g.masks)
+
+
 def min_expansion(g: BipartiteGraph, k: int, budget: int = DEFAULT_BUDGET):
     """Exact minimum of |neighborhood(S)| over all left subsets of size k.
 
     Returns (value, witness) with the lexicographically smallest minimizing
     subset.  Refuses when C(n, k) exceeds the budget.
     """
-    if not 1 <= k <= g.n:
-        raise ValueError(f"k={k} outside 1..{g.n}")
-    _check_budget(g.n, k, budget)
-    return _min_subset_score(g.masks, k)
+    return _min_subset_score(g.masks, k, budget)
 
 
 def min_pair_expansion(g: BipartiteGraph, k: int, budget: int = DEFAULT_BUDGET):
     """Exact minimum of pair_count over all left subsets of size k."""
-    if g.n % 2:
-        raise ValueError(f"pair structure needs even n, got {g.n}")
-    if k == 0:
-        return 0, ()
-    if not 1 <= k <= g.n:
-        raise ValueError(f"k={k} outside 1..{g.n}")
-    _check_budget(g.n, k, budget)
-    # folding commutes with union, so the scan can run on folded masks
-    half = g.n // 2
-    return _min_subset_score(tuple(_pair_fold(m, half) for m in g.masks), k)
+    masks = _pair_masks(g)
+    return (0, ()) if k == 0 else _min_subset_score(masks, k, budget)
 
 
 def sampled_min_expansion(g: BipartiteGraph, k: int, trials: int, seed: int):
@@ -371,22 +369,26 @@ class SubsetCheckEntry:
 class SubsetCheckReport:
     """Outcome of sweeping subset sizes against a requirement.
 
-    ``complete`` is False when the enumeration budget cut the sweep short;
-    ``passed`` then only speaks for the sizes actually checked.
+    ``complete`` is False when the enumeration budget cut the sweep short at
+    size ``truncated_at``; ``passed`` then only speaks for the sizes actually
+    checked.
     """
 
     kind: str
-    passed: bool
-    complete: bool
     truncated_at: int | None
     entries: tuple
 
     @property
     def first_failure(self) -> SubsetCheckEntry | None:
-        for e in self.entries:
-            if e.achieved < e.required:
-                return e
-        return None
+        return next((e for e in self.entries if e.achieved < e.required), None)
+
+    @property
+    def passed(self) -> bool:
+        return self.first_failure is None
+
+    @property
+    def complete(self) -> bool:
+        return self.truncated_at is None
 
     def as_dict(self) -> dict:
         return {
@@ -406,6 +408,27 @@ class SubsetCheckReport:
         }
 
 
+def _sweep(kind: str, masks: tuple, rows: Iterable, budget: int) -> SubsetCheckReport:
+    """Check the exact minimum union popcount over size-k subsets of masks
+    against ``required`` for each (k, required) row in turn.
+
+    The sweep stops at the first failure, keeping its witness, or at the
+    first size whose C(n, k) exceeds the budget, which it records as
+    ``truncated_at``.
+    """
+    entries = []
+    for k, required in rows:
+        try:
+            achieved, witness = _min_subset_score(masks, k, budget)
+        except EnumerationBudgetError:
+            return SubsetCheckReport(kind, k, tuple(entries))
+        failed = achieved < required
+        entries.append(SubsetCheckEntry(k, required, achieved, witness if failed else ()))
+        if failed:
+            break
+    return SubsetCheckReport(kind, None, tuple(entries))
+
+
 def check_expander_profile(
     g: BipartiteGraph, profile: PiecewiseLinear, k_max: int, budget: int = DEFAULT_BUDGET
 ) -> SubsetCheckReport:
@@ -415,22 +438,8 @@ def check_expander_profile(
     evaluated exactly when the profile is rational.  A budget hit produces a
     partial report flagged via ``complete=False``.
     """
-    entries = []
-    truncated_at = None
-    for k in range(1, k_max + 1):
-        required = math.ceil(profile.eval(Fraction(k, g.n)) * g.n)
-        try:
-            achieved, witness = min_expansion(g, k, budget)
-        except EnumerationBudgetError:
-            truncated_at = k
-            break
-        entries.append(
-            SubsetCheckEntry(k, required, achieved, witness if achieved < required else ())
-        )
-        if achieved < required:
-            break
-    passed = all(e.achieved >= e.required for e in entries)
-    return SubsetCheckReport("expansion", passed, truncated_at is None, truncated_at, tuple(entries))
+    rows = ((k, math.ceil(profile.eval(Fraction(k, g.n)) * g.n)) for k in range(1, k_max + 1))
+    return _sweep("expansion", g.masks, rows, budget)
 
 
 def check_pair_profile(
@@ -439,24 +448,9 @@ def check_pair_profile(
     """Check min_pair_expansion(g, k) >= floor(gamma * k) for every
     k = floor(alpha * n) with alpha <= alpha_max, i.e. k = 1..floor(alpha_max*n)."""
     gamma = as_fraction(gamma)
-    alpha_max = as_fraction(alpha_max)
-    k_top = math.floor(alpha_max * g.n)
-    entries = []
-    truncated_at = None
-    for k in range(1, k_top + 1):
-        required = math.floor(gamma * k)
-        try:
-            achieved, witness = min_pair_expansion(g, k, budget)
-        except EnumerationBudgetError:
-            truncated_at = k
-            break
-        entries.append(
-            SubsetCheckEntry(k, required, achieved, witness if achieved < required else ())
-        )
-        if achieved < required:
-            break
-    passed = all(e.achieved >= e.required for e in entries)
-    return SubsetCheckReport("pair", passed, truncated_at is None, truncated_at, tuple(entries))
+    k_top = math.floor(as_fraction(alpha_max) * g.n)
+    rows = ((k, math.floor(gamma * k)) for k in range(1, k_top + 1))
+    return _sweep("pair", _pair_masks(g), rows, budget)
 
 
 def graph_to_text(g: BipartiteGraph) -> str:

@@ -24,6 +24,20 @@ def test_check_conditions_fails_for_low_degree(capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check-conditions", "--c1", "0.3", "--c3", "0.3"],
+        ["check-conditions", "--c1", "0.2", "--c3", "0.4"],  # c5 = 1 - c1 - c3 = c3
+    ],
+)
+def test_check_conditions_rejects_anchors_that_do_not_increase(argv, capsys):
+    # the profile slopes are undefined there: a usage error, not a failed check
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "need c1 < c3 < c5" in captured.err and "PASS" not in captured.out
+
+
 def test_certify_pair_report_and_exit_codes(tmp_path, capsys):
     out = tmp_path / "cert.json"
     rc = main(
@@ -122,6 +136,18 @@ def test_check_expansion_on_explicit_graph(tmp_path, capsys):
     rc = main(["check-expansion", "--graph", str(path), "--k-max", "4", "--pairs"])
     assert rc == 0
     assert "PASS" in capsys.readouterr().out
+
+
+def test_check_expansion_flags_a_truncated_pair_sweep(tmp_path, capsys):
+    # k <= 4 fits the budget, but the pair sweep up to 0.3322 * 20 stops at
+    # C(20, 5) = 15504 > 5000
+    out = tmp_path / "rep.json"
+    argv = ["check-expansion", "--n", "20", "--k-max", "4", "--pairs", "--budget", "5000"]
+    assert main(argv + ["--output", str(out)]) == 0
+    assert capsys.readouterr().out.strip().endswith("(partial: budget hit)")
+    payload = json.loads(out.read_text())
+    assert payload["expansion"]["complete"] is True
+    assert payload["pair"]["complete"] is False and payload["pair"]["truncated_at"] == 5
 
 
 @pytest.mark.parametrize(
@@ -237,6 +263,7 @@ def test_verify_exhaustive_budget_refusal(tmp_path, capsys):
         (["verify-sc", "--trials", "0"], "trials must be >= 1, got 0"),
         (["verify-sc", "--trials", "-3"], "trials must be >= 1, got -3"),
         (["check-expansion", "--k-max", "0"], "--k-max must be >= 1, got 0"),
+        (["build-sc", "--n", "40", "--check-k-max", "0"], "check_k_max must be >= 1, got 0"),
     ],
 )
 def test_vacuous_check_counts_exit_two(tmp_path, capsys, argv, message):

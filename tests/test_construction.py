@@ -15,8 +15,14 @@ from superconc.construction import (
     max_disjoint_paths,
     verify_superconcentrator,
 )
-from superconc.profiles import PiecewiseLinear
-from superconc.randgraph import BipartiteGraph, EnumerationBudgetError, complete_bipartite, sample_g
+from superconc.randgraph import (
+    BipartiteGraph,
+    EnumerationBudgetError,
+    complete_bipartite,
+    derive_seed,
+    neighborhood,
+    sample_g,
+)
 
 
 def _cfg(base=20, seed=7, **kw):
@@ -158,11 +164,14 @@ def test_duplicate_edge_rejected():
 
 
 def test_retry_exhaustion_reports_witness():
-    demanding = PiecewiseLinear(((Fraction(0), Fraction(99, 100)), (Fraction(1), Fraction(1))))
-    cfg = BuildConfig(base_size=4, d=2, delta=0, seed=0, retry_limit=3, profile=demanding)
+    cfg = BuildConfig(base_size=4, d=2, delta=0, seed=0, retry_limit=3)
     with pytest.raises(BuildError) as err:
         build_gamma(8, cfg)
-    assert err.value.last_failure is not None
+    fail = err.value.last_failure
+    assert fail is not None and fail.achieved < fail.required
+    # the witness is real: the x side's last draw gives it that few neighbors
+    g = sample_g(8, 2, 0, derive_seed("level", 0, 0, "x", 2), disjoint=True)
+    assert len(neighborhood(g, fail.witness)) == fail.achieved
 
 
 def test_explicit_expanders_must_cover_every_size():
@@ -325,6 +334,20 @@ def test_golden_build_and_sample_are_byte_identical():
     assert _sha256(dag.to_json()) == "2a34033f9ed43c7b385c0dd8b10961ca905b7c3054f624b6d3fadfeb696556fe"
     g = sample_g(400, 5, Fraction(13, 40), 7, disjoint=True)
     assert _sha256(repr(g.masks)) == "0189df676ed88e73924369a4428c16de158ae0be30cf9f0c9618e8d17249bffa"
+
+
+def test_golden_build_640_records_budget_truncation():
+    # C(640, 2) = 204480 exceeds the 200 000 check budget, so each check at
+    # level 0 covers k = 1 only and says so instead of claiming completeness
+    dag = build_gamma(640, BuildConfig(seed=0))
+    assert _sha256(dag.to_json()) == "e1cae8c9f56dd948fa76683aa9ce20dc05314af6b0602b92bea9268b5c8a6913"
+    level0 = dag.level_records[0]
+    assert level0["n"] == 640
+    for side in ("lambda_x", "lambda_y"):
+        for check in level0[side]["checks"].values():
+            assert check["checked_sizes"] == [1]
+            assert check["complete"] is False and check["truncated_at"] == 2
+            assert check["passed"] is True
 
 
 def test_build_decodes_each_expander_once(monkeypatch):

@@ -13,6 +13,8 @@ from superconc.randgraph import (
     BipartiteGraph,
     _descend,
     EnumerationBudgetError,
+    SubsetCheckEntry,
+    SubsetCheckReport,
     check_expander_profile,
     check_pair_profile,
     complete_bipartite,
@@ -206,6 +208,24 @@ def test_check_expander_profile_budget_partial_report():
     assert rep.truncated_at == 3  # C(24,3) = 2024 > 2000
     assert [e.k for e in rep.entries] == [1, 2]  # sizes below the budget were checked
     assert rep.passed  # and they passed
+
+
+def test_subset_check_report_derives_passed_and_complete():
+    ok = SubsetCheckEntry(1, 2, 3, ())
+    bad = SubsetCheckEntry(2, 4, 3, (1, 2))
+    assert SubsetCheckReport("expansion", None, (ok,)).passed
+    rep = SubsetCheckReport("pair", 3, (ok, bad))
+    assert not rep.passed and not rep.complete and rep.first_failure == bad
+    assert rep.as_dict()["complete"] is False and rep.as_dict()["checked_sizes"] == [1, 2]
+
+
+def test_check_pair_profile_budget_partial_report():
+    g = sample_g(24, 4, 0, 5, disjoint=True)
+    rep = check_pair_profile(g, 1, "0.3322", budget=2000)
+    assert rep.truncated_at == 3 and not rep.complete
+    assert [e.k for e in rep.entries] == [1, 2] and rep.passed
+    # the sweep agrees with the per-size minimiser on the sizes it checked
+    assert [e.achieved for e in rep.entries] == [min_pair_expansion(g, k)[0] for k in (1, 2)]
 
 
 def test_check_pair_profile_complete_passes():
