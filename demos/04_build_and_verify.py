@@ -33,8 +33,9 @@ print("\nmanifest of Gamma_40 (level 0):")
 print(json.dumps(g40.manifest()["levels"][0], indent=2)[:400], "...")
 
 # Verification: every same-size input/output subset pair must be joined by
-# that many node-disjoint paths.  Each query is a unit-capacity max flow on
-# the node-split graph.
+# that many node-disjoint paths.  Each query counts them as a maximum
+# bipartite matching between vertex exits and vertex entries, minus one
+# bypass edge per vertex outside S and T.
 S, T = g40.inputs[:6], g40.outputs[10:16]
 print("\nmax node-disjoint paths for a size-6 pair:", max_disjoint_paths(g40, S, T))
 

@@ -40,10 +40,20 @@ def _config_dict(args: argparse.Namespace) -> dict:
 _DEFAULT_PATH = object()
 
 
+def _finite_or_null(value):
+    """JSON has no infinities or NaN: write them as null."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(item) for item in value]
+    return value
+
+
 def _write_report(args, payload: dict, path=_DEFAULT_PATH) -> None:
-    payload = dict(payload)
-    payload["config"] = _config_dict(args)
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    payload = _finite_or_null(dict(payload, config=_config_dict(args)))
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if path is _DEFAULT_PATH:
         path = getattr(args, "output", None)
     if path:

@@ -377,18 +377,22 @@ def test_build_retry_exhaustion_exits_one(tmp_path, capsys):
     assert not graph.exists()
 
 
-def _graph_payload(**changes):
-    """A 2-input complete bipartite graph, a valid superconcentrator."""
-    roles = ["input", "input", "output", "output"]
-    payload = {
+def _complete_payload(n_inputs, n_outputs):
+    """A graph file of the complete bipartite graph from the inputs to the outputs."""
+    roles = ["input"] * n_inputs + ["output"] * n_outputs
+    ins, outs = range(n_inputs), range(n_inputs, len(roles))
+    return {
         "nodes": [{"role": r, "level": 0, "label": [r[0], i]} for i, r in enumerate(roles)],
-        "edges": [[0, 2], [0, 3], [1, 2], [1, 3]],
-        "inputs": [0, 1],
-        "outputs": [2, 3],
+        "edges": [[u, v] for u in ins for v in outs],
+        "inputs": list(ins),
+        "outputs": list(outs),
         "levels": [],
     }
-    payload.update(changes)
-    return payload
+
+
+def _graph_payload(**changes):
+    """A 2-input complete bipartite graph, a valid superconcentrator."""
+    return dict(_complete_payload(2, 2), **changes)
 
 
 def test_verify_accepts_hand_written_graph(tmp_path):
@@ -403,7 +407,8 @@ def test_verify_accepts_hand_written_graph(tmp_path):
         (_graph_payload(nodes=[1, 2]), "is not an object"),
         (_graph_payload(nodes=[{"role": "input", "level": 0, "label": 5}]), "label list"),
         ([], "must hold a JSON object"),
-        (_graph_payload(inputs=0), "with nodes, edges, inputs, outputs lists"),
+        (_graph_payload(inputs=0), "with nodes, edges, inputs, outputs, levels lists"),
+        ({k: v for k, v in _graph_payload().items() if k != "levels"}, "levels lists"),
         (_graph_payload(edges=[[0, 2], [0, 7]]), "node id 7 outside 0..3"),
         (_graph_payload(edges=[[0, 2], [-1, 3]]), "node id -1 outside"),
         (_graph_payload(edges=[[0, 2, 3]]), "edges must be pairs of node ids"),
@@ -419,6 +424,7 @@ def test_verify_accepts_hand_written_graph(tmp_path):
         "label-not-a-list",
         "not-an-object",
         "inputs-not-a-list",
+        "levels-missing",
         "edge-id-out-of-range",
         "negative-edge-id",
         "edge-not-a-pair",
@@ -436,3 +442,40 @@ def test_verify_rejects_malformed_graph(tmp_path, capsys, payload, message):
     assert main(["verify-sc", "--graph", str(graph)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+@pytest.mark.parametrize(
+    "n_inputs, n_outputs", [(3, 2), (2, 3), (0, 0)], ids=["3-inputs-2-outputs", "2-inputs-3-outputs", "empty"]
+)
+def test_verify_refuses_unequal_or_empty_sides(tmp_path, capsys, n_inputs, n_outputs, mode):
+    # exhaustive mode checked no size-3 pair here and passed; sampled mode
+    # crashed inside random.sample or randrange
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps(_complete_payload(n_inputs, n_outputs)))
+    assert main(["verify-sc", "--graph", str(graph), "--mode", mode]) == 2
+    captured = capsys.readouterr()
+    assert f"got {n_inputs} inputs and {n_outputs} outputs" in captured.err
+    assert "PASS" not in captured.out
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize(
+    "argv, rc, path",
+    [
+        (["check-conditions", "--gamma", "2"], 1, ["checks", 9, "slack"]),
+        (["prob-bound", "--kind", "expansion", "--n", "200", "--k", "20", "--m", "1"], 0, ["log_value"]),
+    ],
+    ids=["pair-degree-pole", "log-of-zero"],
+)
+def test_reports_are_strict_json(tmp_path, argv, rc, path):
+    # both reports hold an infinite float, which is written as null
+    out = tmp_path / "r.json"
+    assert main(argv + ["--output", str(out)]) == rc
+    value = json.loads(out.read_text(), parse_constant=_reject_constant)
+    for key in path:
+        value = value[key]
+    assert value is None

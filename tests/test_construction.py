@@ -11,6 +11,7 @@ from superconc.construction import (
     BuildConfig,
     BuildError,
     SuperDag,
+    VerifyReport,
     build_gamma,
     max_disjoint_paths,
     verify_superconcentrator,
@@ -89,6 +90,26 @@ def _random_dag(rng, n_nodes, n_inputs, n_outputs, p_edge):
             if rng.random() < p_edge:
                 dag.add_edge(u, v)
     return dag
+
+
+def _node_split_max_flow(dag, S, T):
+    """Independent reference: unit-capacity max flow on the node-split graph.
+
+    Vertex v becomes entry 2 + 2v and exit 3 + 2v joined by an arc; dag edges
+    join exits to entries, node 0 feeds the entries of S and the exits of T
+    drain into node 1.
+    """
+    import numpy as np
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import maximum_flow
+
+    nv = dag.num_nodes
+    arcs = [(2 + 2 * v, 3 + 2 * v) for v in range(nv)]
+    arcs += [(3 + 2 * u, 2 + 2 * v) for u, v in dag.edges]
+    arcs += [(0, 2 + 2 * s) for s in S] + [(3 + 2 * t, 1) for t in T]
+    rows, cols = np.asarray(arcs, dtype=np.int32).T
+    graph = csr_matrix((np.ones(len(arcs), dtype=np.int32), (rows, cols)), shape=(2 * nv + 2,) * 2)
+    return int(maximum_flow(graph, 0, 1).flow_value)
 
 
 # --- construction shape ------------------------------------------------------
@@ -225,6 +246,54 @@ def test_flow_matches_bruteforce_on_small_dags():
         assert max_disjoint_paths(dag, S, T) == brute_max_disjoint_paths(dag, S, T)
 
 
+def test_path_counts_match_node_split_max_flow_on_random_dags():
+    # inputs here can have in-edges and outputs out-edges, which Gamma never
+    # has: the counter must drop the edges into S and out of T to stay exact
+    rng = random.Random(4242)
+    short = 0
+    for _ in range(600):
+        n_nodes = rng.randint(4, 30)
+        n_inputs = rng.randint(1, n_nodes // 2)
+        n_outputs = rng.randint(1, min(n_inputs + 2, n_nodes - n_inputs))
+        dag = _random_dag(rng, n_nodes, n_inputs, n_outputs, rng.uniform(0.05, 0.5))
+        k = rng.randint(1, min(n_inputs, n_outputs))
+        S = rng.sample(dag.inputs, k)
+        T = rng.sample(dag.outputs, k)
+        want = _node_split_max_flow(dag, S, T)
+        assert max_disjoint_paths(dag, S, T) == want, (dag.edges, S, T)
+        short += want < k
+    assert short >= 100  # many queries fall short of k, so counts below k are compared too
+
+
+def test_path_through_a_second_input_counts_once():
+    # s1 -> s2 -> t1: both inputs reach t1, but through one shared vertex
+    dag = SuperDag()
+    s1, s2 = (dag.add_node("input", 0, ("S", i)) for i in (1, 2))
+    t1, t2 = (dag.add_node("output", 1, ("T", i)) for i in (1, 2))
+    dag.add_edge(s1, s2)
+    dag.add_edge(s2, t1)
+    assert max_disjoint_paths(dag, [s1, s2], [t1, t2]) == 1 == _node_split_max_flow(dag, [s1, s2], [t1, t2])
+    dag.add_edge(t1, t2)
+    assert max_disjoint_paths(dag, [s1, s2], [t1, t2]) == 1
+    assert max_disjoint_paths(dag, [s1], [t2]) == 1 == _node_split_max_flow(dag, [s1], [t2])
+
+
+def test_path_counts_match_node_split_max_flow_on_faulty_gamma80():
+    dag = build_gamma(80, BuildConfig(seed=0))
+    rng = random.Random(80)
+    short = 0
+    for drop in (0, 16, 64, 256):
+        faulty = dag.without_edges(rng.sample(dag.edges, drop))
+        for _ in range(15):
+            k = rng.randint(1, 80)
+            S = rng.sample(faulty.inputs, k)
+            T = rng.sample(faulty.outputs, k)
+            want = _node_split_max_flow(faulty, S, T)
+            assert max_disjoint_paths(faulty, S, T) == want
+            short += want < k
+    assert short > 0
+
+
 def test_adding_edges_never_decreases_flow():
     rng = random.Random(77)
     for _ in range(8):
@@ -283,6 +352,29 @@ def test_mutated_graph_fails_with_small_witness():
     assert k == 1
     assert S == (dag.inputs[0],)
     assert got == 0
+
+
+def test_faulty_graph_reports_are_pinned():
+    # pinned to the reports of a node-split max-flow verifier, so the counts
+    # and counterexamples stay those of the flow formulation
+    dag = gamma8_complete()
+    first = dag.successors()[dag.inputs[0]][0]
+    starved = dag.without_edges(
+        (u, v) for u, v in dag.edges if u in dag.inputs[:2] and v != first
+    )
+    assert verify_superconcentrator(starved, mode="exhaustive") == VerifyReport(
+        False, "exhaustive", 65, (2, (0, 1), (8, 9), 1)
+    )
+    assert verify_superconcentrator(starved, mode="sampled", trials=50, seed=4) == VerifyReport(
+        False, "sampled", 1, (8, tuple(range(8)), tuple(range(8, 16)), 7)
+    )
+    big = build_gamma(80, BuildConfig(seed=0))
+    faulty = big.without_edges(random.Random(1).sample(big.edges, 64))
+    report = verify_superconcentrator(faulty, mode="sampled", trials=200, seed=1)
+    k, S, T, achieved = report.counterexample
+    assert (report.passed, report.pairs_checked, k, len(S), len(T), achieved) == (False, 9, 79, 79, 79, 76)
+    text = json.dumps(report.as_dict(), sort_keys=True)
+    assert _sha256(text) == "e4d8a932ae0e92b27f4df38c50969c613bf3ede91d5a9f13dcb532f0e5c0c35a"
 
 
 def test_unknown_mode_rejected():
