@@ -254,6 +254,10 @@ def _cmd_mc_plr(args) -> int:
 
 
 def _cmd_stirling_scan(args) -> int:
+    # the threshold 2 ln(n)/n is 0 at n = 1, so no gap could pass there
+    low = min(args.n)
+    if low < 2:
+        raise ValueError(f"--n must be >= 2, got {low}")
     results = []
     ok = True
     for n in args.n:

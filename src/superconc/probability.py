@@ -186,6 +186,17 @@ def alpha_coefficients(n: int, r: int) -> list[int]:
     return double
 
 
+def _check_plr_args(n: int, ell: int, r: int, d: int) -> None:
+    """The domain of the at-most-r-neighbors event: a nonempty left ell-set,
+    an r below n, so the event is not certain, and at least one overlay."""
+    if not 1 <= ell <= n:
+        raise ValueError(f"ell={ell} outside 1..{n}")
+    if not 0 <= r <= n - 1:
+        raise ValueError(f"r={r} outside 0..{n - 1}")
+    if d < 1:
+        raise ValueError(f"d must be >= 1, got {d}")
+
+
 def exact_plr(n: int, ell: int, r: int, d: int) -> Fraction:
     """Exact probability that a fixed left ell-subset has at most r distinct
     right neighbors under d independent permutation overlays.
@@ -194,12 +205,7 @@ def exact_plr(n: int, ell: int, r: int, d: int) -> Fraction:
     p_k = (C(k, ell)/C(n, ell))^d the probability that all d images land
     inside a fixed k-subset.
     """
-    if not 1 <= ell <= n:
-        raise ValueError(f"ell={ell} outside 1..{n}")
-    if not 0 <= r <= n - 1:
-        raise ValueError(f"r={r} outside 0..{n - 1}")
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
+    _check_plr_args(n, ell, r, d)
     alphas = alpha_coefficients(n, r)
     cn = comb0(n, ell)
     total = sum((alpha * Fraction(comb0(k, ell), cn) ** d for k, alpha in enumerate(alphas)), Fraction(0))
@@ -215,10 +221,7 @@ def bassalygo_bound(n: int, ell: int, r: int, d: int) -> Fraction:
     For n <= 60, where it is cheap, the dominance over the exact value is
     verified as well.
     """
-    if not 1 <= ell <= n:
-        raise ValueError(f"ell={ell} outside 1..{n}")
-    if not 0 <= r <= n - 1:
-        raise ValueError(f"r={r} outside 0..{n - 1}")
+    _check_plr_args(n, ell, r, d)
     bound = comb0(n, r) * Fraction(comb0(r, ell), comb0(n, ell)) ** d
     if n <= 60:
         exact = exact_plr(n, ell, r, d)
@@ -239,22 +242,43 @@ def boolean_identity_check(n: int, r: int, q) -> bool:
     return lhs == rhs
 
 
+def _floyd_mask(getrandbits, n: int, ell: int) -> int:
+    """Bitmask of a uniform ell-subset of range(n) by Floyd's algorithm
+    (Bentley & Floyd, CACM 30(9), 1987).
+
+    For j = n-ell .. n-1 it draws t uniform on [0, j], by rejection on
+    ``getrandbits(j.bit_length())``, and adds t, or j when t is already in.
+    Each ell-subset arises from exactly ell! of the n!/(n-ell)! accepted
+    draw sequences.
+    """
+    mask = 0
+    for j in range(n - ell, n):
+        width = j.bit_length()
+        t = getrandbits(width)
+        while t > j:
+            t = getrandbits(width)
+        bit = 1 << t
+        mask |= (1 << j) if mask & bit else bit
+    return mask
+
+
 def montecarlo_plr(n: int, ell: int, r: int, d: int, trials: int, seed: int):
     """Monte Carlo estimate of :func:`exact_plr` with its standard error.
 
-    Each trial draws a fresh d-permutation overlay (only the images of the
-    fixed ell-subset are sampled, which is distribution-equivalent) from a
-    substream keyed by (seed, trial).
+    Each trial draws a fresh d-permutation overlay; only the images of the
+    fixed ell-subset are sampled, which is distribution-equivalent, each as
+    a Floyd subset draw.  All trials take consecutive draws from the one
+    substream keyed by ``seed``.
     """
+    _check_plr_args(n, ell, r, d)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    getrandbits = random.Random(derive_seed("mc", seed)).getrandbits
     hits = 0
-    for t in range(trials):
-        rng = random.Random(derive_seed("mc", seed, t))
+    for _ in range(trials):
         u = 0
         for _ in range(d):
-            for v in rng.sample(range(n), ell):
-                u |= 1 << v
+            u |= _floyd_mask(getrandbits, n, ell)
         if u.bit_count() <= r:
             hits += 1
     est = hits / trials

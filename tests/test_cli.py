@@ -264,10 +264,13 @@ def test_verify_exhaustive_budget_refusal(tmp_path, capsys):
         (["verify-sc", "--trials", "-3"], "trials must be >= 1, got -3"),
         (["check-expansion", "--k-max", "0"], "--k-max must be >= 1, got 0"),
         (["build-sc", "--n", "40", "--check-k-max", "0"], "check_k_max must be >= 1, got 0"),
+        # the threshold 2 ln(n)/n is 0 at n = 1, so no gap could pass
+        (["stirling-scan", "--n", "1"], "--n must be >= 2, got 1"),
+        (["stirling-scan", "--n", "128", "0"], "--n must be >= 2, got 0"),
     ],
 )
 def test_vacuous_check_counts_exit_two(tmp_path, capsys, argv, message):
-    # a check that would test nothing is refused, not reported as a pass
+    # a check that would test nothing is refused, not reported as a pass or a fail
     if argv[0] == "verify-sc":
         graph = tmp_path / "sc8.json"
         build = ["build-sc", "--n", "8", "--base", "4", "--expander", "complete"]
@@ -276,7 +279,8 @@ def test_vacuous_check_counts_exit_two(tmp_path, capsys, argv, message):
         capsys.readouterr()
     assert main(argv) == 2
     captured = capsys.readouterr()
-    assert message in captured.err and "PASS" not in captured.out
+    assert message in captured.err
+    assert "PASS" not in captured.out and "FAIL" not in captured.out
 
 
 def test_verify_complete_expander_exhaustive(tmp_path, capsys):
@@ -336,6 +340,24 @@ def test_mc_plr_prints_estimate(capsys):
     assert rc == 0
     est, se = map(float, capsys.readouterr().out.split())
     assert abs(est - 0.6) < 6 * max(se, 1e-9)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--n", "6", "--ell", "2", "--r", "3", "--d", "0"], "d must be >= 1, got 0"),
+        (["--n", "6", "--ell", "0", "--r", "3", "--d", "2"], "ell=0 outside 1..6"),
+        (["--n", "6", "--ell", "7", "--r", "3", "--d", "2"], "ell=7 outside 1..6"),
+        (["--n", "6", "--ell", "2", "--r", "9", "--d", "2"], "r=9 outside 0..5"),
+        (["--n", "6", "--ell", "2", "--r", "-1", "--d", "2"], "r=-1 outside 0..5"),
+        (["--n", "0", "--ell", "0", "--r", "0", "--d", "2"], "ell=0 outside 1..0"),
+    ],
+)
+@pytest.mark.parametrize("command", ["exact-plr", "mc-plr"])
+def test_plr_commands_refuse_the_same_domain(command, args, message, capsys):
+    assert main([command] + args) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
 
 
 def test_stirling_scan_small(capsys):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superconc.probability import (
+    _floyd_mask,
     alpha_coefficients,
     bassalygo_bound,
     binom_ratio_bound,
@@ -222,13 +223,26 @@ def test_exact_plr_monotonicity():
     assert all(a >= b for a, b in zip(values_d, values_d[1:]))
 
 
-def test_exact_plr_validation():
-    with pytest.raises(ValueError):
-        exact_plr(6, 0, 3, 2)
-    with pytest.raises(ValueError):
-        exact_plr(6, 2, 6, 2)  # r must stay below n
-    with pytest.raises(ValueError):
-        exact_plr(6, 2, 3, 0)
+_PLR_DOMAIN_ERRORS = [
+    ((6, 2, 3, 0), "d must be >= 1, got 0"),
+    ((6, 0, 3, 2), "ell=0 outside 1..6"),
+    ((6, 7, 3, 2), "ell=7 outside 1..6"),
+    ((6, 2, 9, 2), "r=9 outside 0..5"),
+    ((6, 2, 6, 2), "r=6 outside 0..5"),  # r must stay below n
+    ((6, 2, -1, 2), "r=-1 outside 0..5"),
+    ((0, 0, 0, 2), "ell=0 outside 1..0"),
+]
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [exact_plr, bassalygo_bound, lambda *args: montecarlo_plr(*args, 100, 0)],
+    ids=["exact", "bassalygo", "montecarlo"],
+)
+@pytest.mark.parametrize("args, message", _PLR_DOMAIN_ERRORS)
+def test_plr_functions_share_one_domain(fn, args, message):
+    with pytest.raises(ValueError, match=message):
+        fn(*args)
 
 
 def test_bassalygo_bound_examples():
@@ -283,6 +297,49 @@ def test_montecarlo_matches_exact_within_four_sigma():
     est, se = montecarlo_plr(6, 2, 3, 2, 20_000, 77)
     assert se > 0
     assert abs(est - 0.6) <= 4 * se
+
+
+def _scripted_getrandbits(values):
+    """A getrandbits that returns ``values`` in order, each within its width."""
+    it = iter(values)
+
+    def getrandbits(width):
+        value = next(it)
+        assert 0 <= value < 1 << width
+        return value
+
+    return getrandbits, it
+
+
+@pytest.mark.parametrize("n, ell", [(6, 3), (6, 1), (6, 6)])
+def test_floyd_mask_is_exactly_uniform(n, ell):
+    # every accepted draw sequence t_j in [0, j], j = n-ell .. n-1, once; a
+    # value the rejection loop must discard goes before each draw it can
+    counts = {}
+    for draws in itertools.product(*(range(j + 1) for j in range(n - ell, n))):
+        script = []
+        for j, t in zip(range(n - ell, n), draws):
+            if j + 1 < 1 << j.bit_length():
+                script.append(j + 1)
+            script.append(t)
+        getrandbits, rest = _scripted_getrandbits(script)
+        mask = _floyd_mask(getrandbits, n, ell)
+        assert next(rest, None) is None
+        counts[mask] = counts.get(mask, 0) + 1
+    assert sorted(counts) == sorted(
+        sum(1 << v for v in subset) for subset in itertools.combinations(range(n), ell)
+    )
+    # n!/(n-ell)! sequences, ell! per subset
+    assert set(counts.values()) == {math.perm(n, ell) // math.comb(n, ell)}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_montecarlo_agrees_with_exact_at_benchmark_size(seed):
+    # the probe's gate: five standard errors of the exact value
+    trials = 20_000
+    exact = float(exact_plr(40, 8, 20, 5))
+    est, _ = montecarlo_plr(40, 8, 20, 5, trials, seed)
+    assert abs(est - exact) <= 5 * math.sqrt(exact * (1 - exact) / trials)
 
 
 def test_montecarlo_deterministic_per_seed():
