@@ -20,7 +20,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import random
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -200,9 +199,9 @@ class SuperDag:
         """Parse the output of :meth:`to_json`.
 
         Raises ValueError unless the file describes a graph the verifier can
-        trust: object node records with known roles, node ids in range,
-        input and output lists that match the roles, no duplicate edges and
-        no cycle.
+        trust: object node records with known roles, integer levels and
+        label lists, object level records, node ids in range, input and
+        output lists that match the roles, no duplicate edges and no cycle.
         """
         payload = json.loads(text)
         keys = ("nodes", "edges", "inputs", "outputs", "levels")
@@ -212,7 +211,15 @@ class SuperDag:
         for node in payload["nodes"]:
             if not isinstance(node, dict) or not isinstance(node.get("label"), list):
                 raise ValueError(f"node record {node!r} is not an object with a label list")
+            for key in ("role", "level"):
+                if key not in node:
+                    raise ValueError(f"node record {node!r} has no {key!r}")
+            if type(node["level"]) is not int:
+                raise ValueError(f"node record {node!r} has a 'level' that is not an integer")
             dag.add_node(node["role"], node["level"], tuple(node["label"]))
+        for record in payload["levels"]:
+            if not isinstance(record, dict):
+                raise ValueError(f"level record {record!r} is not an object")
 
         def node_id(v):
             if type(v) is not int or not 0 <= v < dag.num_nodes:
@@ -404,15 +411,16 @@ class _PathCounter:
         self.nv = nv
 
     def query(self, S, T) -> int:
+        """Path count from S to T, each a list or integer array of node ids."""
         import numpy as np
         from scipy.sparse import csr_matrix
         from scipy.sparse.csgraph import maximum_bipartite_matching
 
         nv = self.nv
         in_s = np.zeros(nv, dtype=bool)
-        in_s[list(S)] = True
+        in_s[S] = True
         in_t = np.zeros(nv, dtype=bool)
-        in_t[list(T)] = True
+        in_t[T] = True
         # one rule drops the edges into S, the edges out of T and the
         # bypasses of S and T, whose rows equal their columns
         keep = ~(in_s[self.cols] | in_t[self.rows])
@@ -471,8 +479,11 @@ def verify_superconcentrator(
     many node-disjoint paths.
 
     Exhaustive mode scans all pairs (sum over k of C(n,k)^2 of them) and
-    refuses beyond the budget; sampled mode draws (k, S, T) uniformly from
-    seeded substreams, at least one trial.  A dag whose input and output
+    refuses beyond the budget.  Sampled mode runs at least one trial, each
+    drawing k uniform on 1..n and then independent uniform k-subsets S of
+    the inputs and T of the outputs, all from one numpy generator seeded
+    with ``derive_seed("verify", seed)``; a reported counterexample lists S
+    and T sorted.  A dag whose input and output
     counts differ, or are zero, is refused: it is no superconcentrator, and
     neither mode would check the sizes it lacks.
     """
@@ -494,20 +505,25 @@ def verify_superconcentrator(
             for S in itertools.combinations(dag.inputs, k):
                 for T in itertools.combinations(dag.outputs, k):
                     checked += 1
-                    got = solver.query(S, T)
+                    got = solver.query(list(S), list(T))
                     if got != k:
                         return VerifyReport(False, mode, checked, (k, S, T, got))
         return VerifyReport(True, mode, checked, None)
     if mode == "sampled":
         if trials < 1:
             raise ValueError(f"trials must be >= 1, got {trials}")
+        import numpy as np  # already loaded by the path counter
+
+        rng = np.random.default_rng(derive_seed("verify", seed))
+        inputs = np.asarray(dag.inputs)
+        outputs = np.asarray(dag.outputs)
         for t in range(trials):
-            rng = random.Random(derive_seed("verify", seed, t))
-            k = rng.randint(1, n)
-            S = tuple(sorted(rng.sample(dag.inputs, k)))
-            T = tuple(sorted(rng.sample(dag.outputs, k)))
+            k = int(rng.integers(1, n, endpoint=True))
+            S = inputs[rng.choice(n, k, replace=False)]
+            T = outputs[rng.choice(n, k, replace=False)]
             got = solver.query(S, T)
             if got != k:
-                return VerifyReport(False, mode, t + 1, (k, S, T, got))
+                ce = (k, tuple(sorted(S.tolist())), tuple(sorted(T.tolist())), got)
+                return VerifyReport(False, mode, t + 1, ce)
         return VerifyReport(True, mode, trials, None)
     raise ValueError(f"unknown mode {mode!r}")

@@ -12,8 +12,9 @@ independently, which is the model all probability formulas in
 :mod:`superconc.probability` refer to; duplicate edges are merged, so left
 degrees can drop below d.  With ``disjoint=True`` each permutation is
 redrawn until it avoids the previous ones (and the pinned diagonal
-positions), so the graph has exactly d*n + floor(delta*n) edges; the
-superconcentrator builder uses this mode to keep edge counts exact.
+positions), abandoning each attempt at its first collision, so the graph
+has exactly d*n + floor(delta*n) edges; the superconcentrator builder uses
+this mode to keep edge counts exact.
 """
 
 from __future__ import annotations
@@ -78,11 +79,30 @@ def derive_seed(*parts) -> int:
     return int.from_bytes(hashlib.sha256(text.encode("utf-8")).digest()[:8], "big")
 
 
-def _permutation(rng: random.Random, n: int) -> list[int]:
-    """Uniform permutation of 1..n: ``shuffle`` is Fisher-Yates drawing
-    ``randbelow(i + 1)`` for i = n-1 .. 1, so the stream fixes the result."""
+def _fisher_yates(getrandbits, n: int, taken: list | None = None) -> list[int] | None:
+    """Permutation of 1..n by the Fisher-Yates draws of ``random.shuffle``:
+    randbelow(i + 1) for i = n-1 .. 1, each by rejection on
+    ``getrandbits((i + 1).bit_length())``, so the stream fixes the result.
+
+    With ``taken``, per-position bitmasks of forbidden labels, the attempt
+    tests position i as soon as the draw for i has fixed it and returns None
+    at the first collision, making no further draw.  It rejects exactly the
+    permutations a check of the finished shuffle would, so an accepted one is
+    uniform over those avoiding ``taken``.
+    """
     arr = list(range(1, n + 1))
-    rng.shuffle(arr)
+    for i in range(n - 1, 0, -1):
+        width = (i + 1).bit_length()
+        j = getrandbits(width)
+        while j > i:
+            j = getrandbits(width)
+        v = arr[j]
+        arr[j] = arr[i]
+        arr[i] = v
+        if taken is not None and taken[i] >> (v - 1) & 1:
+            return None
+    if taken is not None and taken[0] >> (arr[0] - 1) & 1:
+        return None
     return arr
 
 
@@ -148,10 +168,13 @@ def sample_g(n: int, d: int, delta, seed: int, *, disjoint: bool = False) -> Bip
     """Overlay d seeded random permutations plus pinned edges (i, i) for
     i <= floor(delta*n).
 
-    Permutation j is drawn from its own substream keyed by (seed, j).  With
-    ``disjoint=True`` each permutation is redrawn until it collides neither
-    with the previous ones nor, on the pinned positions, with the diagonal,
-    which makes the edge count exactly d*n + floor(delta*n).  Such
+    Permutation j is drawn from its own substream keyed by (seed, j), by the
+    Fisher-Yates draws of ``random.shuffle``.  With ``disjoint=True`` each
+    permutation is redrawn until it collides neither with the previous ones
+    nor, on the pinned positions, with the diagonal, which makes the edge
+    count exactly d*n + floor(delta*n).  An attempt stops at its first
+    collision, so the kept permutation is uniform over the admissible ones,
+    and the next attempt continues the same substream.  Such
     permutations exist exactly when d <= n, or d <= n - 1 once an edge is
     pinned (the cyclic shifts attain both); other requests, and draws that
     exhaust the redraw cap, raise ValueError.
@@ -168,30 +191,22 @@ def sample_g(n: int, d: int, delta, seed: int, *, disjoint: bool = False) -> Bip
             f"the disjoint mode needs d <= {n - (pinned > 0)}"
         )
 
-    masks = [0] * n
-    taken = [0] * n  # per-position mask of already used right labels (disjoint mode)
+    # the pinned diagonal goes in first, so disjoint draws avoid it like
+    # the earlier permutations: in that mode masks are the forbidden labels
+    masks = [1 << i if i < pinned else 0 for i in range(n)]
     for j in range(d):
-        rng = random.Random(derive_seed("perm", seed, j))
-        for _ in range(_MAX_RESAMPLE):
-            perm = _permutation(rng, n)
-            if not disjoint:
-                break
-            ok = all(not (taken[i] >> (perm[i] - 1)) & 1 for i in range(n)) and all(
-                perm[i] != i + 1 for i in range(pinned)
-            )
-            if ok:
+        getrandbits = random.Random(derive_seed("perm", seed, j)).getrandbits
+        for _ in range(_MAX_RESAMPLE if disjoint else 1):
+            perm = _fisher_yates(getrandbits, n, masks if disjoint else None)
+            if perm is not None:
                 break
         else:
             raise ValueError(
                 f"could not draw permutation {j + 1} of {d} avoiding the previous "
                 f"ones at n={n} in {_MAX_RESAMPLE} tries; the disjoint mode needs d well below n"
             )
-        for i in range(n):
-            bit = 1 << (perm[i] - 1)
-            masks[i] |= bit
-            taken[i] |= bit
-    for i in range(pinned):
-        masks[i] |= 1 << i
+        for i, v in enumerate(perm):
+            masks[i] |= 1 << (v - 1)
 
     g = BipartiteGraph.__new__(BipartiteGraph)
     g.n = n

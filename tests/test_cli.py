@@ -417,6 +417,15 @@ def _graph_payload(**changes):
     return dict(_complete_payload(2, 2), **changes)
 
 
+def _first_node(**fields):
+    """The 2-input graph with fields of its first node record replaced, or
+    dropped where the value is None."""
+    payload = _graph_payload()
+    node = dict(payload["nodes"][0], **fields)
+    payload["nodes"][0] = {k: v for k, v in node.items() if v is not None}
+    return payload
+
+
 def test_verify_accepts_hand_written_graph(tmp_path):
     graph = tmp_path / "g.json"
     graph.write_text(json.dumps(_graph_payload(inputs=[1, 0])))
@@ -440,6 +449,12 @@ def test_verify_accepts_hand_written_graph(tmp_path):
         (_graph_payload(outputs=[2]), "outputs list disagrees"),
         (_graph_payload(edges=[[0, 2], [0, 3], [1, 2], [1, 3], [0, 2]]), "duplicate edge (0, 2)"),
         (_graph_payload(edges=[[0, 2], [2, 0], [1, 3]]), "cycle"),
+        (_first_node(role=None), "{'level': 0, 'label': ['i', 0]} has no 'role'"),
+        (_first_node(level=None), "{'role': 'input', 'label': ['i', 0]} has no 'level'"),
+        (_first_node(level="0"), "'level': '0', 'label': ['i', 0]} has a 'level' that is not an integer"),
+        (_first_node(level=0.5), "'level' that is not an integer"),
+        (_first_node(level=True), "'level' that is not an integer"),
+        (_graph_payload(levels=[{"level": 0}, 3]), "level record 3 is not an object"),
     ],
     ids=[
         "non-object-node",
@@ -456,6 +471,12 @@ def test_verify_accepts_hand_written_graph(tmp_path):
         "output-missing",
         "duplicate-edge",
         "cycle",
+        "role-missing",
+        "level-missing",
+        "level-a-string",
+        "level-a-float",
+        "level-a-bool",
+        "level-record-not-an-object",
     ],
 )
 def test_verify_rejects_malformed_graph(tmp_path, capsys, payload, message):

@@ -3,10 +3,12 @@ import itertools
 import json
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from superconc import construction
 from superconc.construction import (
     BuildConfig,
     BuildError,
@@ -343,6 +345,37 @@ def test_sampled_verify_is_deterministic():
     assert a == b
 
 
+def test_sampled_verify_draws_k_and_subsets_uniformly(monkeypatch):
+    # k uniform on 1..4, then (S, T) uniform over the C(4, k)^2 pairs of
+    # input and output k-subsets, each count within 5 sigma
+    dag = build_gamma(4, BuildConfig(base_size=4))
+    seen = []
+
+    def record(self, S, T):
+        seen.append((tuple(sorted(S.tolist())), tuple(sorted(T.tolist()))))
+        return len(S)
+
+    monkeypatch.setattr(construction._PathCounter, "query", record)
+    trials = 20_000
+    assert verify_superconcentrator(dag, mode="sampled", trials=trials, seed=3).passed
+    by_k = Counter(len(S) for S, _ in seen)
+
+    def within_5_sigma(count, draws, p):
+        return abs(count - draws * p) <= 5 * math.sqrt(draws * p * (1 - p))
+
+    assert sorted(by_k) == [1, 2, 3, 4]
+    assert all(within_5_sigma(by_k[k], trials, 1 / 4) for k in by_k)
+    pairs = Counter(seen)
+    for k, draws in by_k.items():
+        cells = [
+            (S, T)
+            for S in itertools.combinations(dag.inputs, k)
+            for T in itertools.combinations(dag.outputs, k)
+        ]
+        assert sum(pairs[c] for c in cells) == draws
+        assert all(within_5_sigma(pairs[c], draws, 1 / len(cells)) for c in cells)
+
+
 def test_mutated_graph_fails_with_small_witness():
     dag = gamma8_complete()
     broken = dag.without_edges((dag.inputs[0], v) for v in range(dag.num_nodes))
@@ -355,8 +388,9 @@ def test_mutated_graph_fails_with_small_witness():
 
 
 def test_faulty_graph_reports_are_pinned():
-    # pinned to the reports of a node-split max-flow verifier, so the counts
-    # and counterexamples stay those of the flow formulation
+    # the exhaustive report is pinned to a node-split max-flow verifier; the
+    # sampled reports are pinned to the seeded streams, and their
+    # counterexamples re-checked against the node-split reference
     dag = gamma8_complete()
     first = dag.successors()[dag.inputs[0]][0]
     starved = dag.without_edges(
@@ -365,16 +399,18 @@ def test_faulty_graph_reports_are_pinned():
     assert verify_superconcentrator(starved, mode="exhaustive") == VerifyReport(
         False, "exhaustive", 65, (2, (0, 1), (8, 9), 1)
     )
-    assert verify_superconcentrator(starved, mode="sampled", trials=50, seed=4) == VerifyReport(
-        False, "sampled", 1, (8, tuple(range(8)), tuple(range(8, 16)), 7)
-    )
+    report = verify_superconcentrator(starved, mode="sampled", trials=50, seed=4)
+    assert report == VerifyReport(False, "sampled", 1, (8, tuple(range(8)), tuple(range(8, 16)), 7))
+    assert _node_split_max_flow(starved, *report.counterexample[1:3]) == 7
     big = build_gamma(80, BuildConfig(seed=0))
     faulty = big.without_edges(random.Random(1).sample(big.edges, 64))
     report = verify_superconcentrator(faulty, mode="sampled", trials=200, seed=1)
     k, S, T, achieved = report.counterexample
     assert (report.passed, report.pairs_checked, k, len(S), len(T), achieved) == (False, 9, 79, 79, 79, 76)
+    assert S == tuple(sorted(S)) and T == tuple(sorted(T))
+    assert _node_split_max_flow(faulty, S, T) == achieved
     text = json.dumps(report.as_dict(), sort_keys=True)
-    assert _sha256(text) == "e4d8a932ae0e92b27f4df38c50969c613bf3ede91d5a9f13dcb532f0e5c0c35a"
+    assert _sha256(text) == "24e1f0f7ab35c42ac12fab0e26cbf49ea6fed71c3edd8e706bc384984ca60398"
 
 
 def test_unknown_mode_rejected():
@@ -423,16 +459,16 @@ def test_golden_build_and_sample_are_byte_identical():
     # pins the seeded RNG stream: any change to permutation drawing or
     # assembly order that alters a sampled graph or the JSON shows here
     dag = build_gamma(160, BuildConfig(seed=0))
-    assert _sha256(dag.to_json()) == "2a34033f9ed43c7b385c0dd8b10961ca905b7c3054f624b6d3fadfeb696556fe"
+    assert _sha256(dag.to_json()) == "936dfd76f073bf8e9b450af8e428c3b843ee77f3e55cf17a8c333e923dc1519d"
     g = sample_g(400, 5, Fraction(13, 40), 7, disjoint=True)
-    assert _sha256(repr(g.masks)) == "0189df676ed88e73924369a4428c16de158ae0be30cf9f0c9618e8d17249bffa"
+    assert _sha256(repr(g.masks)) == "3877e4b423b42997e3033634a978fdcdbc64fb11660c91d49963d6f8178fc192"
 
 
 def test_golden_build_640_records_budget_truncation():
     # C(640, 2) = 204480 exceeds the 200 000 check budget, so each check at
     # level 0 covers k = 1 only and says so instead of claiming completeness
     dag = build_gamma(640, BuildConfig(seed=0))
-    assert _sha256(dag.to_json()) == "e1cae8c9f56dd948fa76683aa9ce20dc05314af6b0602b92bea9268b5c8a6913"
+    assert _sha256(dag.to_json()) == "b41d50d469ce748bc5b2a1ff6692b0cd10059ca6a3a48d41bdbef28b26314e2a"
     level0 = dag.level_records[0]
     assert level0["n"] == 640
     for side in ("lambda_x", "lambda_y"):

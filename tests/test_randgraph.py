@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from superconc.profiles import alon_capalbo_profile, density253_constants, expan
 from superconc.randgraph import (
     BipartiteGraph,
     _descend,
+    _fisher_yates,
     EnumerationBudgetError,
     SubsetCheckEntry,
     SubsetCheckReport,
@@ -79,6 +81,84 @@ def test_disjoint_mode_exact_degrees_and_edges():
         for i in range(1, n + 1):
             want = d + 1 if i <= pinned else d
             assert g.degree(i) == want
+
+
+class _ScriptEnd(Exception):
+    pass
+
+
+def _scripted_getrandbits(values):
+    """A getrandbits that returns ``values`` in order, each within its
+    width, and raises _ScriptEnd once they are used up."""
+    it = iter(values)
+
+    def getrandbits(width):
+        value = next(it, None)
+        if value is None:
+            raise _ScriptEnd
+        assert 0 <= value < 1 << width
+        return value
+
+    return getrandbits, it
+
+
+def test_early_abort_attempt_is_exactly_uniform():
+    # taken: two fixed permutations plus the pinned edge (1, 1)
+    n = 5
+    taken = [1, 0, 0, 0, 0]
+    for perm in ((2, 3, 4, 5, 1), (3, 4, 5, 1, 2)):
+        for i, v in enumerate(perm):
+            taken[i] |= 1 << (v - 1)
+    admissible = [
+        p for p in itertools.permutations(range(1, n + 1))
+        if not any(taken[i] >> (v - 1) & 1 for i, v in enumerate(p))
+    ]
+    # walk every draw sequence an attempt can make: the m-th draw is t in
+    # [0, i] for i = n-1-m, after a value the rejection loop must discard
+    accepted, rejected, mass = [], [], Fraction(0)
+    pending = [()]
+    while pending:
+        draws = pending.pop()
+        script = []
+        for m, t in enumerate(draws):
+            script += [n - m, t]
+        getrandbits, rest = _scripted_getrandbits(script)
+        try:
+            perm = _fisher_yates(getrandbits, n, taken)
+        except _ScriptEnd:
+            pending += [draws + (t,) for t in range(n - len(draws))]
+            continue
+        assert next(rest, None) is None
+        mass += Fraction(1, math.prod(n - m for m in range(len(draws))))
+        if perm is None:
+            rejected.append(len(draws))
+        else:
+            assert len(draws) == n - 1
+            accepted.append(tuple(perm))
+    assert mass == 1
+    assert sorted(accepted) == admissible
+    assert len(admissible) == 9
+    # some attempts stop before their last draw
+    assert min(rejected) == 1 and max(rejected) == n - 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 64, 1000])
+def test_plain_fisher_yates_equals_random_shuffle(n):
+    for seed in range(4):
+        want = list(range(1, n + 1))
+        random.Random(seed).shuffle(want)
+        assert _fisher_yates(random.Random(seed).getrandbits, n) == want
+
+
+def test_plain_sample_g_overlays_shuffled_permutations():
+    n, d, delta, seed = 50, 3, Fraction(1, 5), 11
+    masks = [1 << i if i < 10 else 0 for i in range(n)]
+    for j in range(d):
+        perm = list(range(1, n + 1))
+        random.Random(randgraph.derive_seed("perm", seed, j)).shuffle(perm)
+        for i, v in enumerate(perm):
+            masks[i] |= 1 << (v - 1)
+    assert sample_g(n, d, delta, seed).masks == tuple(masks)
 
 
 def test_disjoint_mode_feasibility_boundary(monkeypatch):
@@ -268,9 +348,10 @@ def test_sampled_min_expansion_rejects_zero_trials():
 @pytest.mark.parametrize(
     "k, value, witness_sha256",
     [
-        (147, 340, "41ffd4be87d654129b52d8ae61a4df88fc856c6b9e46085d46b7673d9fb5d8e4"),
-        (212, 442, "7ecef3a67ad7a7ce2514ef74e62b5016b37ae46bcdb9c787b31719f4e4b4195a"),
+        (147, 339, "e7f400b38979235b82df820d515976e1b1a8b310ff626cca6f59927797ff36ed"),
+        (212, 437, "6c67b2f3bfe37b815f9377046eeb5573906bfeaea5b163e1666f6ece5ebe978d"),
     ],
+    ids=["k147", "k212"],
 )
 def test_sampled_min_expansion_golden(k, value, witness_sha256):
     g = sample_g(640, 5, Fraction(13, 40), 7, disjoint=True)
