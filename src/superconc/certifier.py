@@ -1,37 +1,30 @@
-"""Grid certification of the two entropy inequalities behind the fractional
+"""Certification of the two entropy inequalities behind the fractional
 degree d = 5.325.
 
-The certified inequalities compare sums of weighted entropy terms H(V) where
-every V is affine in the cell coordinates (x, y) or becomes affine after
-multiplying by its weight.  On each grid cell the left-hand terms are replaced
-by chords (below H on the enclosure of V) and the right-hand terms by
-tangents (above H everywhere), which strengthens the inequality into an affine
-one; an affine function attains its minimum over a convex cell polygon at an
-extreme point, so checking the corner points certifies the whole cell.
+The inequalities compare sums of weighted entropy terms H(V) where every V
+is affine in the coordinates (x, y) or becomes affine after multiplying by
+its weight.  On a rectangle of the domain the left-hand terms are replaced by
+chords (below H on the enclosure of V) and the right-hand terms by tangents
+(above H everywhere); the strengthened inequality is affine, so its minimum
+over the rectangle, clipped to y <= x, sits at a corner.  The slack of a
+rectangle is that corner minimum in float64, and it carries a bound on its
+own rounding (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3):
+the envelopes hold in float64 and chord ends computed in floats are widened.
+A rectangle passes when its slack minus that bound clears the margin; a NaN
+slack fails, and a minimum that is not finite passes nothing.  The one
+assumption is that numpy's exp, log and log1p are within one ulp (relative
+error at most 2u, u = 2^-53); measured against mpmath they stay within 0.66.
 
-Enclosures of the V expressions are interval images of the cell, truncated to
-[0, 1].  The slack recorded for a cell is the minimum over its corners of
-strengthened LHS minus strengthened RHS, as computed in float64.  The scan is
-sound on its own: the envelopes below hold in float64, chord ends computed in
-floats are widened by their rounding, and each cell carries a bound on the
-rounding of its slack (Higham, Accuracy and Stability of Numerical
-Algorithms, ch. 3).  A cell passes when its slack minus that bound clears the
-margin; a NaN slack fails, and a scan whose minimum is not finite passes
-nothing.  The one assumption is that numpy's exp, log and log1p are within one
-ulp (relative error at most 2u, u = 2^-53); measured against mpmath they stay
-within 0.66 ulp.
-
-Each inequality and the corner rule are written once against a number
-backend: float64 over a block of consecutive x-rows, or mpmath interval
-arithmetic over one cell.  In a block the x quantities are columns and the y
-quantities rows; when every x-cell of the block reaches y = delta, the block
-shares one y-row, and the terms in y alone are computed once for it.  Of the
-two corners at each y-level the float64 backend evaluates only the lower
-one, which the sign of the x-coefficient picks (a corner rounds monotonically
-in x); the interval backend evaluates both.  The optional spot check
-(``confirm``) encloses the slack of the scan's minimum cell in every
-x-interval with the interval backend, at 113 bits; mpmath is imported only
-then.
+Each x-interval carries a grid_n x grid_n grid of cells, and the driver
+refines rectangles of cells down to single cells only where the minimum can
+lie or the margin is missed (Moore-Skelboe style; Hansen and Walster, Global
+Optimization Using Interval Analysis, 2004).  Each inequality and the corner
+rule are written once against a number backend: float64 over arrays of
+rectangles, or mpmath interval arithmetic over one.  Of the two corners at a
+y-level float64 evaluates only the lower one, which the sign of the
+x-coefficient picks (a corner rounds monotonically in x).  The spot check
+(``confirm``) encloses the slack of the lowest leaf of every x-interval with
+the interval backend at 113 bits; mpmath is imported only then.
 """
 
 from __future__ import annotations
@@ -46,25 +39,14 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .profiles import (
-    PiecewiseLinear,
-    ProfileConstants,
-    as_fraction,
-    density253_constants,
-    expansion_profile,
-)
+from .profiles import (PiecewiseLinear, ProfileConstants, as_fraction, density253_constants,
+                       expansion_profile)
 
-__all__ = [
-    "CertReport",
-    "certify_pair_inequality",
-    "certify_expansion_inequality",
-]
+__all__ = ["CertReport", "certify_pair_inequality", "certify_expansion_inequality"]
 
 _FAIL_CAP = 10_000
-# cells per block of consecutive x-rows that the scan hands to numpy at once
-# (at least one row).  Larger blocks pay numpy's per-call overhead less often,
-# but the live arrays, at most about 22 block-sized ones, grow with them.
-_BLOCK_CELLS = 16384
+_BLOCK_CELLS = 4096  # rectangles per kernel call; more save numpy overhead, cost memory
+_SEEDS = 4  # open rectangles per round whose first grid cell seeds ``best``
 _RECHECK_BITS = 113
 U = 2.0**-53  # unit roundoff of float64
 _TINY = 2.0**-1022
@@ -93,7 +75,7 @@ def entropy_lower(x):
 
 def _masked(v, keep, fill):
     """v where ``keep`` holds and ``fill`` elsewhere; v itself, not a copy,
-    when ``keep`` holds everywhere, which is the case the scan meets."""
+    when ``keep`` holds everywhere, which is the common case."""
     return v if keep.all() else np.where(keep, v, fill)
 
 
@@ -179,7 +161,7 @@ class CertReport:
     cells_checked: int
     failing_cells: list  # [(interval, i, j, slack)], ascending, capped
     failing_count: int
-    error_bound: float  # largest per-cell bound on the rounding of the slack
+    error_bound: float  # largest bound on the rounding of a leaf's slack
     runtime_seconds: float
     recheck: dict | None = None
 
@@ -192,20 +174,11 @@ class CertReport:
         return ok
 
     def to_json_dict(self) -> dict:
-        out = {
-            "lemma": self.lemma,
-            "params": self.params,
-            "grid": self.grid,
-            "margin": self.margin,
-            "min_slack": self.min_slack,
-            "error_bound": self.error_bound,
-            "argmin_cell": list(self.argmin_cell),
-            "corners_evaluated": self.corners_evaluated,
-            "cells_checked": self.cells_checked,
-            "failing_count": self.failing_count,
-            "failing_cells": [list(c) for c in self.failing_cells],
-            "pass": self.passed,
-        }
+        out = {k: getattr(self, k) for k in (
+            "lemma", "params", "grid", "margin", "min_slack", "error_bound", "argmin_cell",
+            "corners_evaluated", "cells_checked", "failing_count")}
+        out |= {"argmin_cell": list(self.argmin_cell), "pass": self.passed,
+                "failing_cells": [list(c) for c in self.failing_cells]}
         if self.recheck is not None:
             out["recheck"] = self.recheck
         return out
@@ -245,28 +218,20 @@ def _f64_vertex(sl, extra, a, b, c, x):
     return sl
 
 
-# float64 backend over a block of x-rows: x quantities are (rows, 1) columns,
-# y quantities a shared (1, n) row or a (rows, n) block, and numpy
-# broadcasting forms the mixed terms.  chord and tangent look up the
-# module-level names at each call, so a wrapper installed on them (as the
-# benchmark tracer does) sees every call.
+# float64 backend over arrays of rectangles (or any broadcast shapes).  chord
+# and tangent look up the module-level names at each call, so a wrapper
+# installed on them (as the benchmark tracer does) sees every call.
 _F64 = SimpleNamespace(
     chord=lambda *ends: chord_coefficients(*ends),
     tangent=lambda lo, hi: tangent_coefficients(lo, hi),
-    outward=_outward,
-    clip=lambda v: np.clip(v, 0.0, 1.0),
-    minimum=np.minimum,
-    maximum=np.maximum,
-    lower_corner=_f64_lower_corner,
-    vertex=_f64_vertex,
-    log=math.log,
+    outward=_outward, clip=lambda v: np.clip(v, 0.0, 1.0), minimum=np.minimum, maximum=np.maximum,
+    lower_corner=_f64_lower_corner, vertex=_f64_vertex, log=math.log,
 )
 
 
 def _iv_entropy(v):
     """Enclosure of H at the point v."""
     from mpmath import iv
-
     v = iv.mpf(v)
     if v == 0 or v == 1:
         return iv.mpf(0)
@@ -280,7 +245,6 @@ def _iv_chord(lo, hi, h_lo=None, h_hi=None):
     (mean value theorem), which stays tight on intervals so narrow that the
     difference quotient of two enclosures does not."""
     from mpmath import iv
-
     lo, hi = iv.mpf(lo).a, iv.mpf(hi).b
     h_lo = _iv_entropy(lo) if h_lo is None else h_lo
     h_hi = _iv_entropy(hi) if h_hi is None else h_hi
@@ -297,7 +261,6 @@ def _iv_chord(lo, hi, h_lo=None, h_hi=None):
 def _iv_tangent(lo, hi):
     """Exact tangent of H at a point near the middle of the enclosures."""
     from mpmath import iv
-
     m = ((iv.mpf(lo) + iv.mpf(hi)) / 2).mid
     if not 0 < m < 1:
         return iv.mpf(0), iv.mpf(0)
@@ -310,10 +273,8 @@ def _iv_pick(pick):
 
     def f(a, b):
         from mpmath import iv
-
         a, b = iv.mpf(a), iv.mpf(b)
         return iv.mpf([pick(a.a, b.a), pick(a.b, b.b)])
-
     return f
 
 
@@ -322,23 +283,17 @@ _iv_min, _iv_max = _iv_pick(min), _iv_pick(max)
 
 def _iv_log(v):
     from mpmath import iv
-
     return iv.log(v)
 
 
 # mpmath interval backend: every quantity is an interval enclosing its exact
-# value; cell coordinates are points, so comparing them is exact.
+# value; cell coordinates are points, so comparing them is exact.  The sign of
+# an enclosure of b can be undecided, so both corners of a y-level count.
 _IV = SimpleNamespace(
-    chord=_iv_chord,
-    tangent=_iv_tangent,
-    outward=lambda lo, hi, spread: (lo, hi),
-    clip=lambda v: _iv_min(_iv_max(v, 0), 1),
-    minimum=_iv_min,
-    maximum=_iv_max,
-    # the sign of an enclosure of b can be undecided, so both corners count
+    chord=_iv_chord, tangent=_iv_tangent, outward=lambda lo, hi, spread: (lo, hi),
+    clip=lambda v: _iv_min(_iv_max(v, 0), 1), minimum=_iv_min, maximum=_iv_max,
     lower_corner=lambda a, b, c, left, right, y: _iv_min(
-        _corner(a, b, c, left, y), _corner(a, b, c, right, y)
-    ),
+        _corner(a, b, c, left, y), _corner(a, b, c, right, y)),
     vertex=lambda sl, extra, a, b, c, x: _iv_min(sl, _corner(a, b, c, x, x)) if extra else sl,
     log=_iv_log,
 )
@@ -436,20 +391,67 @@ def _expansion_slack(nb, x_min, x_max, y_min, y_max, h, delta, boost, ea, eb):
     return _corner_min(nb, A, B, C, x_min, x_max, y_min, y_max)
 
 
-def _ranks_before(slack, best):
-    """Whether a cell of this slack displaces the minimum so far: NaN ranks
-    first, so that a scan reports it, then lower values; ties keep the
-    earlier cell."""
-    return slack < best or (math.isnan(slack) and not math.isnan(best))
+def _halves(R):
+    """The rectangles (a, b, j0, j1) of R cut in four at the middle of each
+    side; a side one cell wide leaves an empty half, which is dropped."""
+    a, b, j0, j1 = R
+    am, jm = (a + b) // 2, (j0 + j1) // 2
+    kids = np.empty((4, 4, R.shape[1]), dtype=R.dtype)
+    kids[0, 0::2], kids[0, 1::2], kids[1, 0::2], kids[1, 1::2] = a, am, am, b
+    kids[2, :2], kids[2, 2:], kids[3, :2], kids[3, 2:] = j0, jm, jm, j1
+    kids = kids.reshape(4, -1)
+    keep = (kids[0] < kids[1]) & (kids[2] < kids[3])
+    return kids if keep.all() else kids.compress(keep, axis=1)
+
+
+def _refine(evaluate, R, margin):
+    """Refine the rectangles R round by round; yield each round's rectangles,
+    slacks, bounds, which clear the margin and which are leaves.  A leaf
+    clears the margin and has a slack above ``best``, the lowest grid-cell
+    slack so far (NaN lowest of all), or is a grid cell; _halves cuts the
+    rest.  Where a lower ``best`` could make a leaf, the first grid cell of
+    the _SEEDS lowest rectangles lowers it.  Rounds larger than _BLOCK_CELLS
+    go depth first, so that few rectangles wait."""
+    best, step = math.inf, max(1, _BLOCK_CELLS // 4)
+    pending, waiting = np.empty((4, 8 * _BLOCK_CELLS), dtype=R.dtype), 0
+    while True:
+        sl, err = evaluate(R)
+        a, b, j0, j1 = R
+        cell = (b - a == 1) & (j1 - j0 == 1)
+        clear = sl - err >= margin  # false on NaN, so that a NaN slack fails
+        low = np.min(sl, where=cell, initial=math.inf)
+        best = low if math.isnan(low) else min(best, low)  # NaN stays once there
+        cut = ~cell
+        if cut.any():
+            if (clear & cut & ~(sl > best)).any():
+                wide = np.flatnonzero(cut)
+                v = np.where(np.isnan(sl[wide]), -np.inf, sl[wide])
+                seeds = wide[np.argpartition(v, _SEEDS)[:_SEEDS]] if wide.size > _SEEDS else wide
+                first = np.stack([a[seeds], a[seeds] + 1, j0[seeds], j0[seeds] + 1])
+                low = evaluate(first)[0].min()
+                best = low if math.isnan(low) else min(best, low)
+            cut &= ~(clear & (sl > best))
+        yield R, sl, err, clear, ~cut
+        k = waiting + int(np.count_nonzero(cut))  # the rectangles to cut wait in pending
+        if k > pending.shape[1]:
+            pending = np.concatenate([pending[:, :waiting], np.empty_like(pending[:, :k])], axis=1)
+        R.compress(cut, axis=1, out=pending[:, waiting:k])
+        if not k:
+            return
+        waiting = max(0, k - step)
+        R = _halves(pending[:, waiting:k])
 
 
 def _certify(lemma, params, weight, slack_fn, slack_args, intervals,
              grid_n, margin, confirm, slack_csv) -> CertReport:
-    """Scan ``slack_fn`` over a grid_n x grid_n subdivision of every x-interval
-    times y in [0, min(x, delta)], a block of x-rows per call, folding the
-    cell slacks in row-major order.
-    ``params`` (the report's echo) holds ``delta`` and the chord weight named
-    ``weight``; ``slack_args(lo, hi)`` gives slack_fn's trailing arguments."""
+    """Certify ``slack_fn`` on a grid_n x grid_n grid of cells of each x-interval
+    times y in [0, min(x, delta)], by _refine from one rectangle per interval.
+    The rectangle [i0, i1) x [j0, j1) is the union of its cells: x-nodes i0
+    to i1, and y from row i0's node j0 to row i1-1's node j1.  It is held as
+    (a, b, j0, j1), a and b the offsets of i0 and i1 in the intervals' nodes
+    laid end to end.  ``params`` (the report's echo) holds ``delta`` and the
+    chord weight named ``weight``; ``slack_args(lo, hi)`` gives slack_fn's
+    trailing arguments."""
     t0 = time.perf_counter()
     delta = params["delta"]
     # a chord lies below H, so it strengthens the inequality only under a
@@ -466,75 +468,90 @@ def _certify(lemma, params, weight, slack_fn, slack_args, intervals,
         if float(hi) + delta - 1.0 > 0.0:
             raise ValueError("the lower constraint y >= x + delta - 1 would become active")
 
-    min_slack, argmin, corners, fail_count, error_bound = math.inf, None, 0, 0, 0.0
-    failing, spots = [], []
-    rows = max(1, _BLOCK_CELLS // grid_n)
-    steps = np.arange(grid_n + 1, dtype=float)
+    n, count = grid_n, len(intervals)
+    xs = np.concatenate([np.linspace(float(lo), float(hi), n + 1) for lo, hi in intervals])
+    # per node: x, its H bound, the top min(x_max, delta) of the row ending there, and top/n of
+    # the rows starting and ending there (a row's y node j is j*(top/n), and the top at j = n)
+    xh, tops = np.stack([xs, entropy_lower(xs)]), np.minimum(xs, delta)
+    steps = np.minimum(np.append(xs[1:], 0.0), delta) / n, tops / n
+    per_interval = [slack_args(lo, hi) for lo, hi in intervals]
+    # an argument that differs between x-intervals is passed per rectangle
+    cols = [np.array(c) if len(set(c)) > 1 else c[0] for c in zip(*per_interval)]
+
+    def geometry(R):  # x-ends, their H bounds and y-ends of the rectangles R
+        y = np.empty((2, R.shape[1]))
+        np.multiply(R[2], steps[0].take(R[0]), out=y[0])
+        np.multiply(R[3], steps[1].take(R[1]), out=y[1])
+        top = np.flatnonzero(R[3] == n)
+        y[1, top] = tops[R[1, top]]
+        return (*xh.take(R[:2], axis=1), y)
+
+    def kernel(R):
+        nonlocal corners
+        x, h, y = geometry(R)
+        args = [c[R[0] // (n + 1)] if isinstance(c, np.ndarray) else c for c in cols]
+        sl, extra, err = slack_fn(_F64, *x, *y, (*h, *entropy_lower(y)), *args)
+        corners += 4 * sl.size + int(np.count_nonzero(extra))
+        return sl, err
+
+    def evaluate(R):  # in chunks of at most _BLOCK_CELLS rectangles
+        parts = [kernel(R[:, k:k + _BLOCK_CELLS]) for k in range(0, R.shape[1], _BLOCK_CELLS)]
+        return parts[0] if len(parts) == 1 else [np.concatenate(v) for v in zip(*parts)]
+
+    corners, fail_count, error_bound = 0, 0, 0.0
+    spots = [((2,),)] * count  # each interval's lowest leaf (rank, slack, cell); 2 ranks last
+    # the earliest failing cells as (interval, i, j) keys, and their slacks
+    room = _FAIL_CAP + max(4, count, _BLOCK_CELLS)
+    fail_keys, fail_slacks, kept, cutoff = np.empty(room, np.int64), np.empty(room), 0, math.inf
+    index = np.int32 if 2 * count * (n + 1) < 2**31 else np.int64
+    roots = np.array([[k * (n + 1), k * (n + 1) + n, 0, n] for k in range(count)], index).T
     with open(slack_csv, "w", newline="") if slack_csv else contextlib.nullcontext() as fh:
         writer = csv.writer(fh) if fh else None
-        for idx, (lo, hi) in enumerate(intervals):
-            args = slack_args(lo, hi)
-            xs = np.linspace(float(lo), float(hi), grid_n + 1)[:, None]
-            hx = entropy_lower(xs)
-            spot = (math.inf, None, None)  # (slack, (i, j), cell) of the interval's minimum
-            for r0 in range(0, grid_n, rows):
-                r1 = min(r0 + rows, grid_n)
-                x_min, x_max = xs[r0:r1], xs[r0 + 1 : r1 + 1]
-                y_top = np.minimum(x_max, delta)
-                # rows that all reach y = delta share one y-row, and with it
-                # every term that depends on y alone
-                if np.all(y_top == delta):
-                    y_top = y_top[:1]
-                # np.linspace(0, y_top, grid_n + 1) bit for bit, but row-major
-                ys = steps * (y_top / grid_n)
-                ys[:, -1] = y_top[:, 0]
-                hy = entropy_lower(ys)
-                sl, extra, err = slack_fn(
-                    _F64, x_min, x_max, ys[:, :-1], ys[:, 1:],
-                    (hx[r0:r1], hx[r0 + 1 : r1 + 1], hy[:, :-1], hy[:, 1:]), *args,
-                )
-                corners += 4 * sl.size + int(np.count_nonzero(extra))
-                error_bound = max(error_bound, float(np.max(err)))
-                # argmin takes the first of equal minima in row-major order
-                # (the first NaN, if any), and a later block must rank
-                # strictly before it: the earliest cell wins
-                i, j = divmod(int(np.argmin(sl)), grid_n)
-                if spot[1] is None or _ranks_before(sl[i, j], spot[0]):
-                    y_ends = ys[i if len(ys) > 1 else 0, j : j + 2].tolist()
-                    cell = (float(x_min[i, 0]), float(x_max[i, 0]), *y_ends)
-                    spot = (float(sl[i, j]), (r0 + i, j), cell)
-                # negated, so that a NaN slack fails
-                bad = np.flatnonzero(~(sl - err >= margin))
-                fail_count += len(bad)
-                for k in bad[: _FAIL_CAP - len(failing)].tolist():
-                    ib, jb = divmod(k, grid_n)
-                    failing.append((idx, r0 + ib, jb, float(sl[ib, jb])))
-                if writer:
-                    for row, (srow, erow) in enumerate(zip(sl.tolist(), err.tolist()), r0):
-                        writer.writerows(
-                            [idx, row, col, repr(s), repr(e)]
-                            for col, (s, e) in enumerate(zip(srow, erow))
-                        )
-            if argmin is None or _ranks_before(spot[0], min_slack):
-                min_slack, argmin = spot[0], (idx, *spot[1])
-            spots.append((spot[0], spot[2], args))
+        for R, sl, err, clear, leaf in _refine(evaluate, roots, margin):
+            a, b, j0, j1 = R
+            failing = np.flatnonzero(leaf > clear)
+            fail_count += failing.size
+            if failing.size and int(a[failing].min()) * n < cutoff:
+                keys = a[failing].astype(np.int64) * n + j0[failing]
+                early = np.flatnonzero(keys < cutoff)
+                if kept + early.size > room:
+                    first = np.argpartition(fail_keys[:kept], _FAIL_CAP - 1)[:_FAIL_CAP]
+                    fail_keys[:_FAIL_CAP] = fail_keys[first]
+                    fail_slacks[:_FAIL_CAP] = fail_slacks[first]
+                    kept, cutoff = _FAIL_CAP, int(fail_keys[:_FAIL_CAP].max())
+                fail_keys[kept : kept + early.size] = keys[early]
+                fail_slacks[kept : kept + early.size] = sl[failing[early]]
+                kept += early.size
+            error_bound = max(error_bound, float(np.max(err, where=leaf, initial=0.0)))
+            for k in range(count):
+                mine = leaf if count == 1 else leaf & (a // (n + 1) == k)
+                low = float(np.min(sl, where=mine, initial=math.inf))  # NaN if any is
+                rank = (not math.isnan(low), 0.0 if math.isnan(low) else low)
+                # NaN ranks first, then lower slacks, then the earliest leaf
+                if rank <= spots[k][0][:2]:
+                    tied = np.flatnonzero(mine & (np.isnan(sl) if math.isnan(low) else sl == low))
+                    if tied.size:
+                        c = tied[np.lexsort((j0[tied], a[tied]))[0]]
+                        if (rank := (*rank, int(a[c]), int(j0[c]))) < spots[k][0]:
+                            x, _, y = geometry(R[:, c : c + 1])
+                            spots[k] = (rank, float(sl[c]), [*x.flat, *y.flat])
+            if writer:
+                leaves = np.flatnonzero(leaf)
+                i0 = a[leaves] % (n + 1)
+                writer.writerows(zip(a[leaves] // (n + 1), i0, i0 + b[leaves] - a[leaves],
+                                     j0[leaves], j1[leaves], map(repr, sl[leaves].tolist()),
+                                     map(repr, err[leaves].tolist())))
 
-    recheck = _recheck(spots, slack_fn, margin) if confirm else None
-    return CertReport(
-        lemma=lemma,
-        params=params,
-        grid=grid_n,
-        margin=margin,
-        min_slack=min_slack,
-        argmin_cell=argmin,
-        corners_evaluated=corners,
-        cells_checked=len(intervals) * grid_n * grid_n,
-        failing_cells=failing,
-        failing_count=fail_count,
-        error_bound=error_bound,
-        runtime_seconds=time.perf_counter() - t0,
-        recheck=recheck,
-    )
+    order, failing_cells = np.argsort(fail_keys[:kept])[:_FAIL_CAP], []
+    for sub in np.array_split(order, len(order) // 1000 + 1):  # few Python objects at a time
+        failing_cells += [(*divmod(key // n, n + 1), key % n, s)
+                          for key, s in zip(fail_keys[sub].tolist(), fail_slacks[sub].tolist())]
+    (*_, a0, j), low, _ = min(spots)  # the rank orders a by interval
+    recheck = _recheck([(sl, cell, args) for (_, sl, cell), args in zip(spots, per_interval)],
+                       slack_fn, margin) if confirm else None
+    return CertReport(lemma, params, n, margin, low, (*divmod(a0, n + 1), j), corners,
+                      count * n * n, failing_cells, fail_count, error_bound,
+                      time.perf_counter() - t0, recheck)
 
 
 def _iv_slack(slack_fn, cell, args):
@@ -542,7 +559,6 @@ def _iv_slack(slack_fn, cell, args):
     (x_min, x_max, y_min, y_max) with trailing arguments ``args``; the float64
     coordinates and arguments convert exactly."""
     from mpmath import iv
-
     prec, iv.prec = iv.prec, _RECHECK_BITS
     try:
         cell = [iv.mpf(v) for v in cell]
@@ -553,35 +569,25 @@ def _iv_slack(slack_fn, cell, args):
 
 
 def _recheck(spots, slack_fn, margin) -> dict:
-    """Enclose in mpmath.iv the slack of each (scan slack, cell, args); the
-    lower ends must clear the margin.  A cell whose scan slack is not finite
+    """Enclose in mpmath.iv the slack of each (float64 slack, cell, args); the
+    lower ends must clear the margin.  A cell whose float64 slack is not finite
     has nothing to confirm, and leaves the check not clear."""
     lows = [_iv_slack(slack_fn, cell, args).a for sl, cell, args in spots if math.isfinite(sl)]
     worst = min(lows, default=math.nan)
-    return {
-        "cells": len(lows),
-        "precision_bits": _RECHECK_BITS,
-        "min_slack": float(worst),
-        "all_clear": len(lows) == len(spots) and bool(worst >= margin),
-    }
+    return {"cells": len(lows), "precision_bits": _RECHECK_BITS, "min_slack": float(worst),
+            "all_clear": len(lows) == len(spots) and bool(worst >= margin)}
 
 
-def certify_pair_inequality(
-    delta=0.325,
-    p=0.45,
-    x_range=(0.3, 0.3322),
-    grid_n: int = 1000,
-    margin: float = 1e-4,
-    confirm: bool = False,
-    slack_csv: str | None = None,
-) -> CertReport:
+def certify_pair_inequality(delta=0.325, p=0.45, x_range=(0.3, 0.3322), grid_n: int = 1000,
+                            margin: float = 1e-4, confirm: bool = False,
+                            slack_csv: str | None = None) -> CertReport:
     """Certify, over x in x_range and y in [0, min(x, delta)], that
 
         H(x)(1-p) + 2*p*x*H(1/2) + H(y)
             > delta*H(y/delta) + (1-delta)*H((x-y)/(1-delta)) + x*H(y/x)
 
-    by at least ``margin``, using a grid_n x grid_n subdivision with chord and
-    tangent strengthening and corner evaluation.  This is the paper's pair
+    by at least ``margin`` on every cell of a grid_n x grid_n grid, refined
+    from the whole domain (see _certify).  This is the paper's pair
     inequality at gamma = 1, which the report's params echo; p must lie in
     [0, 1].
     """
@@ -606,30 +612,23 @@ def _segment_for(profile: PiecewiseLinear, lo, hi):
             eb = Fraction(as_fraction(y1) - as_fraction(y0)) / (as_fraction(x1) - as_fraction(x0))
             ea = as_fraction(y0) - eb * as_fraction(x0)
             if eb <= 0 or ea + eb * lo_f <= 0:
-                raise ValueError(
-                    f"profile must be increasing and positive on [{lo}, {hi}]"
-                )
+                raise ValueError(f"profile must be increasing and positive on [{lo}, {hi}]")
             return float(ea), float(eb)
     raise ValueError(f"[{lo}, {hi}] does not lie inside one linear segment of the profile")
 
 
-def certify_expansion_inequality(
-    delta=0.325,
-    boost=0.18,
-    constants: ProfileConstants | None = None,
-    x_intervals=None,
-    grid_n: int = 1000,
-    margin: float = 1e-4,
-    confirm: bool = False,
-    slack_csv: str | None = None,
-) -> CertReport:
+def certify_expansion_inequality(delta=0.325, boost=0.18,
+                                 constants: ProfileConstants | None = None, x_intervals=None,
+                                 grid_n: int = 1000, margin: float = 1e-4, confirm: bool = False,
+                                 slack_csv: str | None = None) -> CertReport:
     """Certify, over each given x-interval and y in [0, min(x, delta)], that
 
         H(x)(1-boost) + boost*e(x)*H(x/e(x)) + H(y)
             > delta*H(y/delta) + (1-delta)*H((x-y)/(1-delta)) + e(x)*H(y/e(x))
 
-    by at least ``margin``, where e is the piecewise-linear expansion profile
-    of ``constants`` and boost lies in [0, 1].  Every x-interval must lie
+    by at least ``margin`` on a grid_n x grid_n grid of each, as for
+    :func:`certify_pair_inequality`, where e is the piecewise-linear expansion
+    profile of ``constants`` and boost lies in [0, 1].  Every x-interval must lie
     inside one linear segment of e; by default the range [0.21, 0.48] is
     split at the profile anchors.
     """

@@ -226,12 +226,6 @@ def check_conditions(c: ProfileConstants, gamma=1, eps1=Fraction(3, 10)) -> Cond
 
     checks = [
         ConditionCheck(
-            "c1<c3<c5",
-            c.c1 < c.c3 < c.c5,
-            float(min(c.c3 - c.c1, c.c5 - c.c3)),
-            f"c1={c.c1}, c3={c.c3}, c5={c.c5}",
-        ),
-        ConditionCheck(
             "c2+c4>=1",
             c.c2 + c.c4 >= 1,
             float(c.c2 + c.c4 - 1),

@@ -294,27 +294,28 @@ def test_pair_recheck_encloses_one_cell_per_interval():
     assert high.recheck["all_clear"] is False and not high.passed
 
 
-def _cells(path):
-    """Slack per (interval, i, j) cell of a --slack-csv dump."""
+def _leaves(path):
+    """(slack, bound) per (interval, i0, i1, j0, j1) leaf of a --slack-csv dump."""
     with open(path, newline="") as fh:
-        return {(int(a), int(i), int(j)): float(s) for a, i, j, s, _ in csv.reader(fh)}
+        return {tuple(map(int, row[:5])): (float(row[5]), float(row[6])) for row in csv.reader(fh)}
 
 
 def test_recheck_covers_exactly_the_argmin_cells(tmp_path):
-    # one cell per x-interval: the interval's minimum in the scan
+    # one leaf per x-interval: the interval's lowest leaf
     path = tmp_path / "slacks.csv"
     report = certify_expansion_inequality(grid_n=30, confirm=True, slack_csv=str(path))
-    slacks = _cells(path)
-    minima = [min(s for (a, _, _), s in slacks.items() if a == idx) for idx in range(4)]
+    leaves = _leaves(path)
+    minima = [min(s for key, (s, _) in leaves.items() if key[0] == idx) for idx in range(4)]
     assert report.recheck["cells"] == 4
     assert min(minima) == report.min_slack
     assert report.recheck["min_slack"] == pytest.approx(min(minima), abs=report.error_bound)
     assert report.recheck["all_clear"] is True
 
 
-def _cell_args(lemma, report, idx, i, j):
-    """The float64 cell (x_min, x_max, y_min, y_max) the scan built for (idx,
-    i, j), and its slack function's trailing arguments."""
+def _leaf_args(lemma, report, idx, i0, i1, j0, j1):
+    """The float64 rectangle (x_min, x_max, y_min, y_max) the driver builds
+    for a leaf, and its slack function's trailing arguments: y runs from row
+    i0's node j0 to row i1-1's node j1 of the grid."""
     n, delta = report.grid, report.params["delta"]
     if lemma == "pair":
         lo, hi = report.params["x_range"]
@@ -323,8 +324,9 @@ def _cell_args(lemma, report, idx, i, j):
         lo, hi = report.params["x_intervals"][idx]
         args = (delta, report.params["boost"], *_segment_for(PROFILE, lo, hi))
     xs = np.linspace(lo, hi, n + 1)
-    ys = np.linspace(0.0, min(float(xs[i + 1]), delta), n + 1)
-    return (float(xs[i]), float(xs[i + 1]), float(ys[j]), float(ys[j + 1])), args
+    y_min = np.linspace(0.0, min(float(xs[i0 + 1]), delta), n + 1)[j0]
+    y_max = np.linspace(0.0, min(float(xs[i1]), delta), n + 1)[j1]
+    return (float(xs[i0]), float(xs[i1]), float(y_min), float(y_max)), args
 
 
 @pytest.mark.parametrize(
@@ -336,16 +338,19 @@ def _cell_args(lemma, report, idx, i, j):
 )
 def test_interval_enclosure_contains_scan_slack(tmp_path, lemma, run, slack_fn):
     # oracle: the same slack formula in 113-bit interval arithmetic, with exact
-    # chords and tangents, on the argmin cell and 60 seeded cells
+    # chords and tangents, on the argmin leaf and 60 seeded leaves, grid cells
+    # and wider rectangles alike
     path = tmp_path / "slacks.csv"
     report = run(grid_n=12, slack_csv=str(path))
-    slacks = _cells(path)
-    picks = [report.argmin_cell] + random.Random(8).sample(sorted(slacks), 60)
+    leaves = _leaves(path)
+    argmin = next(key for key in leaves if (key[0], key[1], key[3]) == report.argmin_cell)
+    picks = [argmin] + random.Random(8).sample(sorted(leaves), min(60, len(leaves)))
+    assert any(key[2] - key[1] > 1 for key in picks)
     for key in picks:
-        cell, args = _cell_args(lemma, report, *key)
+        cell, args = _leaf_args(lemma, report, *key)
         enc = _iv_slack(slack_fn, cell, args)
         assert float(enc.b - enc.a) < 1e-20
-        assert enc.a - report.error_bound <= slacks[key] <= enc.b + report.error_bound
+        assert enc.a - report.error_bound <= leaves[key][0] <= enc.b + report.error_bound
 
 
 # --- expansion inequality --------------------------------------------------------
@@ -468,25 +473,25 @@ def test_report_json_schema():
     json.dumps(d)
 
 
-# Regenerated when entropy_lower moved from scipy's xlogy/xlog1py to numpy's
-# log/log1p: the two logs differ in the last bit on about 1% of inputs, which
-# moves pair slacks by under 1e-16 (the expansion report is unchanged).
+# Regenerated when the block scan gave way to the refinement driver: the
+# reports keep min_slack, argmin_cell and failing_cells, while
+# corners_evaluated and error_bound now count the leaves only.
 @pytest.mark.parametrize(
     "make, want",
     [
         pytest.param(
             lambda: certify_pair_inequality(grid_n=200),
-            "856d83a7dacdb6723f0ac0bd1efcdd3a679c6eada994d3b964b0cc6c6c79bce2",
+            "00e614670e6e764be1ea0c84043bd17bd21cad597865dead4fb60cab88162b2c",
             id="pair-200",
         ),
         pytest.param(
             lambda: certify_expansion_inequality(grid_n=100),
-            "7d746734d881d927cf0b0d358c98e3bb9668938bf9215bde1a0c7e3a7d99c336",
+            "da4e039dc294b6269a2328c3b46e87c26d439258fd3f074992c5a569f9f951a6",
             id="expansion-100",
         ),
         pytest.param(  # two failing cells
             lambda: certify_pair_inequality(grid_n=100, margin=0.0016),
-            "a24890ca264855fcb40012e7648f1f60b6f7c417f47c2a6790dacb35e5a4a043",
+            "fb6eec8e19ce9965131eebac32926713ffc5a56e28bb884c374c848deff4276b",
             id="pair-100-failing",
         ),
     ],
@@ -496,43 +501,47 @@ def test_report_json_golden_hash(make, want):
     assert hashlib.sha256(text.encode()).hexdigest() == want
 
 
+def _tiles(leaves, intervals, n):
+    """Whether the leaves cover every grid cell of every interval once."""
+    seen = np.zeros((intervals, n, n), dtype=int)
+    for idx, i0, i1, j0, j1 in leaves:
+        seen[idx, i0:i1, j0:j1] += 1
+    return bool((seen == 1).all())
+
+
 def test_slack_csv_dump(tmp_path):
     path = tmp_path / "slacks.csv"
     report = certify_pair_inequality(grid_n=20, slack_csv=str(path))
-    rows = path.read_text().strip().splitlines()
-    assert len(rows) == 20 * 20
-    vals = [float(r.split(",")[3]) for r in rows]
-    assert min(vals) == pytest.approx(report.min_slack, abs=1e-15)
-    bounds = [float(r.split(",")[4]) for r in rows]
-    assert 0.0 < max(bounds) == report.error_bound
+    leaves = _leaves(path)
+    assert _tiles(leaves, 1, 20) and len(leaves) < 20 * 20
+    assert min(s for s, _ in leaves.values()) == pytest.approx(report.min_slack, abs=1e-15)
+    assert 0.0 < max(e for _, e in leaves.values()) == report.error_bound
 
 
 def test_slack_csv_reproduces_failing_cells(tmp_path):
-    # each row carries the cell's rounding bound, so the CSV alone tells
-    # which cells fail: at margin = min_slack, the argmin cell at least
+    # each row carries the leaf's rounding bound, so the CSV alone tells
+    # which cells fail: at margin = min_slack, the argmin cell at least; only
+    # grid cells can fail, since a failing rectangle is always cut
     base = certify_pair_inequality(grid_n=40)
     path = tmp_path / "slacks.csv"
     at = certify_pair_inequality(grid_n=40, margin=base.min_slack, slack_csv=str(path))
-    with open(path, newline="") as fh:
-        failing = [
-            (int(a), int(i), int(j))
-            for a, i, j, s, e in csv.reader(fh)
-            if float(s) - float(e) < at.margin
-        ]
+    failing = sorted(key for key, (s, e) in _leaves(path).items() if s - e < at.margin)
     assert at.failing_count >= 1
     assert len(failing) == at.failing_count
-    assert failing == [c[:3] for c in at.failing_cells]
+    assert all(i1 - i0 == j1 - j0 == 1 for _, i0, i1, j0, j1 in failing)
+    assert [(a, i, j) for a, i, _, j, _ in failing] == [c[:3] for c in at.failing_cells]
 
 
-# --- blocked scan against the row-by-row reference -------------------------------
+# --- refinement against the row-by-row full scan --------------------------------
 
 
 def _certify_by_rows(lemma, params, weight, slack_fn, slack_args, intervals,
                      grid_n, margin, confirm, slack_csv):
-    """The scan one x-row per numpy call, x a float and y a numpy row, as it
-    was before rows were blocked: the reference the blocked driver must
-    reproduce bit for bit.  It takes the driver's arguments, so it can stand
-    in for ``certifier._certify``; inputs are assumed valid."""
+    """The full scan of every grid cell, one x-row per numpy call, x a float
+    and y a numpy row: the reference whose minimum, argmin and failing cells
+    the refinement must reproduce.  It takes the driver's arguments, so it
+    can stand in for ``certifier._certify``; inputs are assumed valid, and
+    its --slack-csv rows are interval,i,j,slack,bound per cell."""
     delta = params["delta"]
     min_slack, argmin, corners, fail_count, error_bound = math.inf, None, 0, 0, 0.0
     failing, spots = [], []
@@ -597,27 +606,52 @@ REFERENCE_CASES = [
     pytest.param(certify_pair_inequality, {"grid_n": 150, "confirm": True}, id="pair-150"),
     pytest.param(certify_expansion_inequality, {"grid_n": 60, "confirm": True}, id="expansion-60"),
     pytest.param(certify_pair_inequality, {"grid_n": 100, "margin": 0.0016}, id="pair-100-failing"),
+    # the pair lemma fails at delta = 0.32 (12 cells), and the expansion
+    # lemma at margin 0.02 on many cells of every x-interval
+    pytest.param(certify_pair_inequality, {"grid_n": 300, "delta": 0.32}, id="pair-delta-0.32"),
+    pytest.param(certify_expansion_inequality, {"grid_n": 40, "margin": 0.02}, id="expansion-margin-0.02"),
 ]
 
+# chunk caps for the driver: its own, two larger ones, 200 rectangles (50 cut
+# at a time) and one rectangle per kernel call
+BLOCK_SIZES = sorted({16384, 8192, _BLOCK_CELLS, 200, 1}, reverse=True)
 
-# the scan's own block size, the earlier 8192 cells, one cell (every row wider
-# than a block), and 200 cells (grid 33 leaves a last block of 3 rows after
-# five of 6)
-BLOCK_SIZES = [_BLOCK_CELLS, 8192, 1, 200]
+# what the refinement must report as the full scan does; corners_evaluated,
+# error_bound and the spot check's enclosure belong to the leaves
+SCAN_FIELDS = ("min_slack", "argmin_cell", "failing_cells", "failing_count", "pass", "cells_checked")
+
+
+def _same_as_scan(refined, scan):
+    a, b = refined.to_json_dict(), scan.to_json_dict()
+    assert json.dumps([a[k] for k in SCAN_FIELDS]) == json.dumps([b[k] for k in SCAN_FIELDS])
+    if scan.recheck is not None:
+        assert (refined.recheck["cells"], refined.recheck["all_clear"]) == (
+            scan.recheck["cells"], scan.recheck["all_clear"])
 
 
 @pytest.mark.parametrize("block", BLOCK_SIZES)
 @pytest.mark.parametrize("run, kwargs", REFERENCE_CASES)
 def test_blocked_scan_matches_row_by_row_reference(tmp_path, monkeypatch, block, run, kwargs):
-    blocked_csv, rows_csv = tmp_path / "blocked.csv", tmp_path / "rows.csv"
+    # the refinement, in chunks of ``block`` rectangles, against the full
+    # row-by-row scan; its grid-cell leaves carry the scan's slack and bound
+    # bit for bit
+    refined_csv, rows_csv = tmp_path / "refined.csv", tmp_path / "rows.csv"
     with monkeypatch.context() as m:
         m.setattr(certifier, "_BLOCK_CELLS", block)
-        blocked = run(slack_csv=str(blocked_csv), **kwargs)
+        refined = run(slack_csv=str(refined_csv), **kwargs)
     with monkeypatch.context() as m:
         m.setattr(certifier, "_certify", _certify_by_rows)
         reference = run(slack_csv=str(rows_csv), **kwargs)
-    assert blocked.to_json_dict() == reference.to_json_dict()
-    assert blocked_csv.read_bytes() == rows_csv.read_bytes()
+    _same_as_scan(refined, reference)
+    with open(rows_csv, newline="") as fh:
+        cells = {(int(a), int(i), int(j)): (s, e) for a, i, j, s, e in csv.reader(fh)}
+    with open(refined_csv, newline="") as fh:
+        leaves = [row for row in csv.reader(fh)]
+    intervals = refined.cells_checked // refined.grid**2
+    assert _tiles([tuple(map(int, row[:5])) for row in leaves], intervals, refined.grid)
+    for a, i0, i1, j0, j1, s, e in leaves:
+        if int(i1) - int(i0) == int(j1) - int(j0) == 1:
+            assert cells[int(a), int(i0), int(j0)] == (s, e)
 
 
 def _flat_slack(nb, x_min, x_max, y_min, y_max, h):
@@ -633,45 +667,40 @@ def test_equal_slacks_keep_the_first_cell(monkeypatch, block):
     monkeypatch.setattr(certifier, "_BLOCK_CELLS", block)
     args = ("pair-expansion", {"delta": 0.325, "p": 0.45}, "p", _flat_slack, lambda lo, hi: (),
             [(0.3, 0.31), (0.31, 0.3322)], 33, 0.0, False, None)
-    blocked = certifier._certify(*args)
-    assert blocked.to_json_dict() == _certify_by_rows(*args).to_json_dict()
-    assert blocked.argmin_cell == (0, 0, 0)
+    refined = certifier._certify(*args)
+    _same_as_scan(refined, _certify_by_rows(*args))
+    assert refined.argmin_cell == (0, 0, 0)
 
 
-def test_reference_cases_include_a_block_mixing_both_y_ranges():
-    # at grid 150 the scan's last block is partial and holds rows whose
-    # y-range stops below delta next to rows that reach it, so its rows
-    # cannot share one y-row
-    rows = _BLOCK_CELLS // 150
+def test_reference_cases_include_a_block_mixing_both_y_ranges(tmp_path):
+    # at grid 150 the pair refinement keeps rectangles whose x-rows mix a
+    # y-range that stops below delta with one that reaches it, so that their
+    # y-ends come from different rows
+    path = tmp_path / "slacks.csv"
+    certify_pair_inequality(grid_n=150, slack_csv=str(path))
     xs = np.linspace(0.3, 0.3322, 151)
     reach = np.minimum(xs[1:], 0.325) == 0.325
-    last = reach[150 - 150 % rows :]
-    assert 0 < 150 % rows and last.any() and not last.all()
+    assert any(not reach[i0] and reach[i1 - 1] for _, i0, i1, _, _ in _leaves(path))
 
 
 def test_failing_cell_cap_keeps_the_first_cells_across_blocks(tmp_path):
-    # every cell fails margin 1; each of the four x-intervals at grid 60 is
-    # one block of 3 600 cells, so the cap of 10 000 cells runs out inside
-    # the third block; the cells kept are the first ones in (interval, i, j)
-    # order, exactly the first failing rows of the CSV
+    # every cell fails margin 1; each of the four x-intervals at grid 60 has
+    # 3 600 cells, so the cap of 10 000 cells runs out inside the third one,
+    # although the refinement meets the cells depth first; the cells kept are
+    # the first ones in (interval, i, j) order, as the CSV recounts them
     path = tmp_path / "slacks.csv"
     report = certify_expansion_inequality(grid_n=60, margin=1.0, slack_csv=str(path))
     assert report.failing_count == 4 * 60 * 60
     assert len(report.failing_cells) == _FAIL_CAP == 10_000
-    first_block_rows = min(60, _BLOCK_CELLS // 60)
-    assert report.failing_cells[-1][:2] > (0, first_block_rows - 1)
-    with open(path, newline="") as fh:
-        failing = [
-            (int(a), int(i), int(j), float(s))
-            for a, i, j, s, e in csv.reader(fh)
-            if float(s) - float(e) < report.margin
-        ]
+    assert report.failing_cells[-1][:2] == (2, 46)
+    failing = sorted((a, i0, j0, s) for (a, i0, _, j0, _), (s, e) in _leaves(path).items()
+                     if s - e < report.margin)
     assert len(failing) == report.failing_count
     assert report.failing_cells == failing[:_FAIL_CAP]
 
 
 def test_repeated_scans_in_one_process_agree():
-    # the kernel writes only into arrays it made itself: nothing a scan
+    # the kernel writes only into arrays it made itself: nothing a run
     # leaves behind changes the next one
     a = certify_pair_inequality(grid_n=150, confirm=True).to_json_dict()
     b = certify_pair_inequality(grid_n=150, confirm=True).to_json_dict()
@@ -693,36 +722,85 @@ def _filled_slack(value, from_x=0.0):
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_scan_without_a_finite_minimum_fails_at_its_first_cell(monkeypatch, block, value):
     # a NaN slack must not pass as a cell clearing the margin, and a minimum
-    # that is not finite certifies nothing; both drivers agree, and the spot
+    # that is not finite certifies nothing; the refinement cuts such
+    # rectangles down to the cells and agrees with the scan, and the spot
     # check has no cell to confirm
     monkeypatch.setattr(certifier, "_BLOCK_CELLS", block)
     args = ("pair-expansion", {"delta": 0.325, "p": 0.45}, "p", _filled_slack(value),
             lambda lo, hi: (), [(0.3, 0.31), (0.31, 0.3322)], 20, 0.0, True, None)
-    blocked = certifier._certify(*args)
-    reference = _certify_by_rows(*args)
-    assert json.dumps(blocked.to_json_dict()) == json.dumps(reference.to_json_dict())
-    assert blocked.argmin_cell == (0, 0, 0)
-    assert not blocked.passed
-    assert blocked.recheck["cells"] == 0 and blocked.recheck["all_clear"] is False
+    refined = certifier._certify(*args)
+    _same_as_scan(refined, _certify_by_rows(*args))
+    assert refined.argmin_cell == (0, 0, 0)
+    assert not refined.passed
+    assert refined.recheck["cells"] == 0 and refined.recheck["all_clear"] is False
     if math.isnan(value):
-        assert math.isnan(blocked.min_slack)
-        assert blocked.failing_count == blocked.cells_checked == 2 * 20 * 20
+        assert math.isnan(refined.min_slack)
+        assert refined.failing_count == refined.cells_checked == 2 * 20 * 20
     else:
-        assert blocked.min_slack == math.inf and blocked.failing_count == 0
+        assert refined.min_slack == math.inf and refined.failing_count == 0
 
 
 def test_a_nan_slack_ranks_below_every_number(monkeypatch):
     # the cells from x-row 7 of the first interval on are NaN, the rest 0:
     # the minimum is the first NaN cell, and only NaN cells fail margin 0
-    monkeypatch.setattr(certifier, "_BLOCK_CELLS", 60)  # three rows a block
+    monkeypatch.setattr(certifier, "_BLOCK_CELLS", 60)
     args = ("pair-expansion", {"delta": 0.325, "p": 0.45}, "p", _filled_slack(math.nan, 0.30345),
             lambda lo, hi: (), [(0.3, 0.31), (0.31, 0.3322)], 20, 0.0, False, None)
-    blocked = certifier._certify(*args)
-    assert json.dumps(blocked.to_json_dict()) == json.dumps(_certify_by_rows(*args).to_json_dict())
-    assert blocked.argmin_cell == (0, 7, 0) and math.isnan(blocked.min_slack)
-    assert blocked.failing_count == 13 * 20 + 20 * 20
-    assert blocked.failing_cells[0][:3] == (0, 7, 0)
-    assert not blocked.passed
+    refined = certifier._certify(*args)
+    _same_as_scan(refined, _certify_by_rows(*args))
+    assert refined.argmin_cell == (0, 7, 0) and math.isnan(refined.min_slack)
+    assert refined.failing_count == 13 * 20 + 20 * 20
+    assert refined.failing_cells[0][:3] == (0, 7, 0)
+    assert not refined.passed
+
+
+# --- refinement: soundness of wide leaves and its share of the grid --------------
+
+
+def _true_pair_slack(x, y, delta=0.325, p=0.45):
+    lhs = entropy(x) * (1 - p) + 2 * p * x * entropy(0.5) + entropy(y)
+    rhs = delta * entropy(y / delta) + (1 - delta) * entropy((x - y) / (1 - delta)) + x * entropy(y / x)
+    return lhs - rhs
+
+
+def _true_expansion_slack(x, y, ea, eb, delta=0.325, boost=0.18):
+    e = ea + eb * x
+    lhs = entropy(x) * (1 - boost) + boost * e * entropy(x / e) + entropy(y)
+    rhs = delta * entropy(y / delta) + (1 - delta) * entropy((x - y) / (1 - delta)) + e * entropy(y / e)
+    return lhs - rhs
+
+
+@pytest.mark.parametrize("lemma, grid", [("pair", 50), ("expansion", 40)])
+def test_true_inequality_holds_at_random_points_of_every_wide_leaf(tmp_path, lemma, grid):
+    # a leaf wider than one grid cell certifies its whole region; check the
+    # inequality itself, in plain floats, at random points of each such leaf
+    path = tmp_path / "slacks.csv"
+    run = certify_pair_inequality if lemma == "pair" else certify_expansion_inequality
+    report = run(grid_n=grid, slack_csv=str(path))
+    assert report.passed
+    wide = [key for key in _leaves(path) if key[2] - key[1] > 1 or key[4] - key[3] > 1]
+    assert wide
+    rng = random.Random(12)
+    for key in wide:
+        (x_min, x_max, y_min, y_max), args = _leaf_args(lemma, report, *key)
+        for _ in range(20):
+            x = rng.uniform(x_min, x_max)
+            y = rng.uniform(y_min, min(y_max, x))
+            slack = _true_pair_slack(x, y) if lemma == "pair" else _true_expansion_slack(x, y, *args[2:])
+            assert slack >= report.margin
+
+
+def test_stock_grid_2000_certificates_evaluate_under_one_percent_of_the_corners():
+    # the refinement does not fall back to a full scan: at grid 2000 both
+    # stock certificates evaluate under 1 % of the grid's 4 corners a cell,
+    # with the full scan's minimum cells and slacks
+    pair = certify_pair_inequality(grid_n=2000, confirm=True)
+    expansion = certify_expansion_inequality(grid_n=2000, confirm=True)
+    for report, cells in ((pair, 2000**2), (expansion, 4 * 2000**2)):
+        assert report.passed and report.cells_checked == cells
+        assert report.corners_evaluated < 0.01 * 4 * cells
+    assert (pair.min_slack, pair.argmin_cell) == (0.0016281484823315073, (0, 0, 301))
+    assert (expansion.min_slack, expansion.argmin_cell) == (0.006835312231821807, (0, 0, 354))
 
 
 # --- parameters rounded to floats ------------------------------------------------

@@ -509,7 +509,7 @@ def _reject_constant(name):
 @pytest.mark.parametrize(
     "argv, rc, path",
     [
-        (["check-conditions", "--gamma", "2"], 1, ["checks", 9, "slack"]),
+        (["check-conditions", "--gamma", "2"], 1, ["checks", 8, "slack"]),
         (["prob-bound", "--kind", "expansion", "--n", "200", "--k", "20", "--m", "1"], 0, ["log_value"]),
     ],
     ids=["pair-degree-pole", "log-of-zero"],
