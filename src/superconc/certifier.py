@@ -18,11 +18,12 @@ error at most 2u, u = 2^-53); measured against mpmath they stay within 0.66.
 Each x-interval carries a grid_n x grid_n grid of cells, and the driver
 refines rectangles of cells down to single cells only where the minimum can
 lie or the margin is missed (Moore-Skelboe style; Hansen and Walster, Global
-Optimization Using Interval Analysis, 2004).  Each inequality and the corner
-rule are written once against a number backend: float64 over arrays of
-rectangles, or mpmath interval arithmetic over one.  Of the two corners at a
-y-level float64 evaluates only the lower one, which the sign of the
-x-coefficient picks (a corner rounds monotonically in x).  The spot check
+Optimization Using Interval Analysis, 2004); a round evaluates at most
+_BLOCK_CELLS open rectangles in one float64 kernel call.  Each inequality and
+the corner rule are written once against a number backend: float64 over
+arrays of rectangles, or mpmath interval arithmetic over one.  Of the two
+corners at a y-level float64 evaluates only the lower one, which the sign of
+the x-coefficient picks (a corner rounds monotonically in x).  The spot check
 (``confirm``) encloses the slack of the lowest leaf of every x-interval with
 the interval backend at 113 bits; mpmath is imported only then.
 """
@@ -62,21 +63,9 @@ def entropy_lower(x):
     assumed to lie in [0, 1].
     """
     x = np.asarray(x, dtype=float)
-    a = _masked(x, x > 0.0, 1.0)  # x ln x -> 0 at x = 0
-    b = _masked(x, x < 1.0, 0.0)  # (1-x) ln(1-x) -> 0 at x = 1
-    h = -a
-    h *= np.log(a)
-    t = np.log1p(-b)
-    t *= 1.0 - b
-    h -= t
-    h *= 1.0 - 7 * U
-    return h
-
-
-def _masked(v, keep, fill):
-    """v where ``keep`` holds and ``fill`` elsewhere; v itself, not a copy,
-    when ``keep`` holds everywhere, which is the common case."""
-    return v if keep.all() else np.where(keep, v, fill)
+    a = np.where(x > 0.0, x, 1.0)  # x ln x -> 0 at x = 0
+    b = np.where(x < 1.0, x, 0.0)  # (1-x) ln(1-x) -> 0 at x = 1
+    return (-a * np.log(a) - np.log1p(-b) * (1.0 - b)) * (1.0 - 7 * U)
 
 
 def chord_coefficients(lo, hi, h_lo=None, h_hi=None):
@@ -96,17 +85,11 @@ def chord_coefficients(lo, hi, h_lo=None, h_hi=None):
     h_hi = entropy_lower(hi) if h_hi is None else h_hi
     width = hi - lo
     proper = width > 0.0
-    if proper.all():
-        slope = (h_hi - h_lo) / width
-    else:
-        slope = np.where(proper, (h_hi - h_lo) / np.where(proper, width, 1.0), 0.0)
+    slope = np.where(proper, (h_hi - h_lo) / np.where(proper, width, 1.0), 0.0)
     intercept = np.minimum(h_lo - slope * lo, h_hi - slope * hi)
     # h - slope*x rounds twice, and the step down once more
-    size = np.abs(slope) * hi
-    size += np.maximum(np.abs(h_lo), np.abs(h_hi))
-    size *= 4 * U
-    intercept -= size
-    return intercept, slope
+    size = (np.abs(slope) * hi + np.maximum(np.abs(h_lo), np.abs(h_hi))) * (4 * U)
+    return intercept - size, slope
 
 
 def tangent_coefficients(lo, hi):
@@ -123,19 +106,11 @@ def tangent_coefficients(lo, hi):
     hi = np.asarray(hi, dtype=float)
     # any tangent point in (0, 1) gives a line above H, so a midpoint that
     # rounds onto 0 or 1 is moved inside; the floor keeps (1-m)/m finite
-    m = lo + hi
-    m *= 0.5
-    m = np.clip(m, _TINY, 1.0 - U)
-    slope = 1.0 - m
-    slope /= m
-    slope = np.log(slope)
-    intercept = np.log1p(np.exp(-slope))
-    intercept *= 1.0 + 6 * U
-    intercept += _TINY
+    m = np.clip((lo + hi) * 0.5, _TINY, 1.0 - U)
+    slope = np.log((1.0 - m) / m)
+    intercept = np.log1p(np.exp(-slope)) * (1.0 + 6 * U) + _TINY
     interior = (hi > 0.0) & (lo < 1.0)
-    if not interior.all():
-        intercept, slope = np.where(interior, intercept, 0.0), np.where(interior, slope, 0.0)
-    return intercept, slope
+    return np.where(interior, intercept, 0.0), np.where(interior, slope, 0.0)
 
 
 # Forming a cell's slack rounds any product of inputs fewer than _ROUNDINGS
@@ -204,20 +179,6 @@ def _f64_lower_corner(a, b, c, left, right, y):
     return _corner(a, b, c, np.where(b < 0, right, left), y)
 
 
-def _f64_vertex(sl, extra, a, b, c, x):
-    """``sl`` lowered to the corner (x, x) on the cells where ``extra``
-    holds, evaluating it on those cells only; writes into ``sl``."""
-    sl = np.asarray(sl)
-    extra, a, b, c, x, _ = np.broadcast_arrays(extra, a, b, c, x, sl)
-    cells = np.flatnonzero(extra)
-    if cells.size:
-        at = x.flat[cells]
-        sl.flat[cells] = np.minimum(
-            sl.flat[cells], _corner(a.flat[cells], b.flat[cells], c.flat[cells], at, at)
-        )
-    return sl
-
-
 # float64 backend over arrays of rectangles (or any broadcast shapes).  chord
 # and tangent look up the module-level names at each call, so a wrapper
 # installed on them (as the benchmark tracer does) sees every call.
@@ -225,7 +186,9 @@ _F64 = SimpleNamespace(
     chord=lambda *ends: chord_coefficients(*ends),
     tangent=lambda lo, hi: tangent_coefficients(lo, hi),
     outward=_outward, clip=lambda v: np.clip(v, 0.0, 1.0), minimum=np.minimum, maximum=np.maximum,
-    lower_corner=_f64_lower_corner, vertex=_f64_vertex, log=math.log,
+    lower_corner=_f64_lower_corner, log=math.log,
+    vertex=lambda sl, extra, a, b, c, x: np.where(
+        extra, np.minimum(sl, _corner(a, b, c, x, x)), sl),
 )
 
 
@@ -299,43 +262,17 @@ _IV = SimpleNamespace(
 )
 
 
-def _total(terms, total=0):
-    """``total`` plus the terms, added left to right as the builtin sum adds
-    them; once the partial sum is an array of the final shape the remaining
-    terms are added into it.  Only ``total`` is written to, so pass a fresh
-    one or none."""
-    terms = list(terms)
-    shape = np.broadcast(total, *terms).shape
-    for t in terms:
-        if type(total) is np.ndarray and total.shape == shape:
-            total += t
-        else:
-            total = total + t
-    return total
-
-
-def _sums(terms):
-    """The sum of the products in ``terms`` and the sum of their absolute
-    values.  Empties ``terms``: the slack functions build each list for this
-    call alone, so its products are freed as soon as both sums hold them."""
-    sums = _total(terms), _total(map(abs, terms))
-    terms.clear()
-    return sums
-
-
 def _corner_min(nb, A, B, C, x_min, x_max, y_min, y_max):
-    """Minimum of a + b*x + c*y, with a, b, c the sums of the product lists
-    A, B, C (which it empties), over the extreme points of each feasible cell
+    """Minimum of a + b*x + c*y, with a, b, c the sums (left to right) of the
+    product lists A, B, C, over the extreme points of each feasible cell
     (y_min <= x_max) clipped to y <= x: four corners, of which the lower one
     at each y-level is evaluated, and the vertex (x_min, x_min) where the
     diagonal crosses the left edge.  Returns that minimum, the mask of cells
     with the fifth vertex, and a bound on the rounding error of each minimum,
     gamma_n times the sum of the absolute products (coordinates are
     nonnegative)."""
-    (a, abs_a), (b, abs_b), (c, abs_c) = _sums(A), _sums(B), _sums(C)
-    err = _total([abs_b * x_max, abs_c * y_max], abs_a)
-    err *= _GAMMA
-    del abs_b, abs_c  # freed before the corners are formed
+    a, b, c = sum(A), sum(B), sum(C)
+    err = (sum(map(abs, A)) + sum(map(abs, B)) * x_max + sum(map(abs, C)) * y_max) * _GAMMA
     y_hi = nb.minimum(y_max, x_max)
     sl = nb.minimum(
         nb.lower_corner(a, b, c, nb.maximum(x_min, y_min), x_max, y_min),
@@ -361,9 +298,6 @@ def _pair_slack(nb, x_min, x_max, y_min, y_max, h, delta, p):
     A = [(1 - p) * c1a, c2a, -delta * t3a, -(1 - delta) * t4a]
     B = [(1 - p) * c1b, 2 * p * nb.log(2), -t4b, -t5a]
     C = [c2b, -t3b, t4b, -t5b]
-    # the lists now hold the only references to the envelopes, so that
-    # _corner_min frees them once it has summed the lists
-    del c1a, c1b, c2a, c2b, t3a, t3b, t4a, t4b, t5a, t5b
     return _corner_min(nb, A, B, C, x_min, x_max, y_min, y_max)
 
 
@@ -387,7 +321,6 @@ def _expansion_slack(nb, x_min, x_max, y_min, y_max, h, delta, boost, ea, eb):
     A = [(1 - boost) * c1a, boost * c2a * ea, c3a, -delta * t4a, -(1 - delta) * t5a, t6a * -ea]
     B = [(1 - boost) * c1b, boost * c2a * eb, boost * c2b, -t5b, t6a * -eb]
     C = [c3b, -t4b, t5b, -t6b]
-    del c1a, c1b, c2a, c2b, c3a, c3b, t4a, t4b, t5a, t5b, t6a, t6b  # as in _pair_slack
     return _corner_min(nb, A, B, C, x_min, x_max, y_min, y_max)
 
 
@@ -404,18 +337,19 @@ def _halves(R):
     return kids if keep.all() else kids.compress(keep, axis=1)
 
 
-def _refine(evaluate, R, margin):
+def _refine(kernel, R, margin):
     """Refine the rectangles R round by round; yield each round's rectangles,
     slacks, bounds, which clear the margin and which are leaves.  A leaf
     clears the margin and has a slack above ``best``, the lowest grid-cell
     slack so far (NaN lowest of all), or is a grid cell; _halves cuts the
     rest.  Where a lower ``best`` could make a leaf, the first grid cell of
-    the _SEEDS lowest rectangles lowers it.  Rounds larger than _BLOCK_CELLS
-    go depth first, so that few rectangles wait."""
+    the _SEEDS lowest rectangles lowers it.  After the roots, a round's
+    kernel call takes the halves of at most _BLOCK_CELLS // 4 (at least one)
+    of the rectangles waiting in ``pending``, the newest first."""
     best, step = math.inf, max(1, _BLOCK_CELLS // 4)
     pending, waiting = np.empty((4, 8 * _BLOCK_CELLS), dtype=R.dtype), 0
     while True:
-        sl, err = evaluate(R)
+        sl, err = kernel(R)
         a, b, j0, j1 = R
         cell = (b - a == 1) & (j1 - j0 == 1)
         clear = sl - err >= margin  # false on NaN, so that a NaN slack fails
@@ -428,7 +362,7 @@ def _refine(evaluate, R, margin):
                 v = np.where(np.isnan(sl[wide]), -np.inf, sl[wide])
                 seeds = wide[np.argpartition(v, _SEEDS)[:_SEEDS]] if wide.size > _SEEDS else wide
                 first = np.stack([a[seeds], a[seeds] + 1, j0[seeds], j0[seeds] + 1])
-                low = evaluate(first)[0].min()
+                low = kernel(first)[0].min()
                 best = low if math.isnan(low) else min(best, low)
             cut &= ~(clear & (sl > best))
         yield R, sl, err, clear, ~cut
@@ -494,10 +428,6 @@ def _certify(lemma, params, weight, slack_fn, slack_args, intervals,
         corners += 4 * sl.size + int(np.count_nonzero(extra))
         return sl, err
 
-    def evaluate(R):  # in chunks of at most _BLOCK_CELLS rectangles
-        parts = [kernel(R[:, k:k + _BLOCK_CELLS]) for k in range(0, R.shape[1], _BLOCK_CELLS)]
-        return parts[0] if len(parts) == 1 else [np.concatenate(v) for v in zip(*parts)]
-
     corners, fail_count, error_bound = 0, 0, 0.0
     spots = [((2,),)] * count  # each interval's lowest leaf (rank, slack, cell); 2 ranks last
     # the earliest failing cells as (interval, i, j) keys, and their slacks
@@ -507,7 +437,7 @@ def _certify(lemma, params, weight, slack_fn, slack_args, intervals,
     roots = np.array([[k * (n + 1), k * (n + 1) + n, 0, n] for k in range(count)], index).T
     with open(slack_csv, "w", newline="") if slack_csv else contextlib.nullcontext() as fh:
         writer = csv.writer(fh) if fh else None
-        for R, sl, err, clear, leaf in _refine(evaluate, roots, margin):
+        for R, sl, err, clear, leaf in _refine(kernel, roots, margin):
             a, b, j0, j1 = R
             failing = np.flatnonzero(leaf > clear)
             fail_count += failing.size
@@ -542,10 +472,9 @@ def _certify(lemma, params, weight, slack_fn, slack_args, intervals,
                                      j0[leaves], j1[leaves], map(repr, sl[leaves].tolist()),
                                      map(repr, err[leaves].tolist())))
 
-    order, failing_cells = np.argsort(fail_keys[:kept])[:_FAIL_CAP], []
-    for sub in np.array_split(order, len(order) // 1000 + 1):  # few Python objects at a time
-        failing_cells += [(*divmod(key // n, n + 1), key % n, s)
-                          for key, s in zip(fail_keys[sub].tolist(), fail_slacks[sub].tolist())]
+    order = np.argsort(fail_keys[:kept])[:_FAIL_CAP]
+    failing_cells = [(*divmod(key // n, n + 1), key % n, s)
+                     for key, s in zip(fail_keys[order].tolist(), fail_slacks[order].tolist())]
     (*_, a0, j), low, _ = min(spots)  # the rank orders a by interval
     recheck = _recheck([(sl, cell, args) for (_, sl, cell), args in zip(spots, per_interval)],
                        slack_fn, margin) if confirm else None

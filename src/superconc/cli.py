@@ -52,13 +52,15 @@ def _finite_or_null(value):
 
 
 def _write_report(args, payload: dict, path=_DEFAULT_PATH) -> None:
-    payload = _finite_or_null(dict(payload, config=_config_dict(args)))
-    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if path is _DEFAULT_PATH:
         path = getattr(args, "output", None)
+    if not path and not getattr(args, "print_json", False):
+        return  # nothing asks for the JSON text, so it is not built
+    payload = _finite_or_null(dict(payload, config=_config_dict(args)))
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if path:
         Path(path).write_text(text)
-    elif getattr(args, "print_json", False):
+    else:
         sys.stdout.write(text)
 
 
@@ -295,8 +297,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--x-max", type=float, default=0.3322)
     sub.add_argument("--grid", type=int, default=1000)
     sub.add_argument("--margin", type=float, default=0.0001)
-    sub.add_argument("--confirm", action="store_true", help="enclose each x-interval's minimum cell in 113-bit interval arithmetic")
-    sub.add_argument("--slack-csv", help="dump per-cell slacks and rounding bounds to this CSV path")
+    sub.add_argument("--confirm", action="store_true", help="enclose the slack of each "
+                     "x-interval's lowest leaf in 113-bit interval arithmetic")
+    sub.add_argument("--slack-csv", help="write one row per leaf "
+                     "(interval,i0,i1,j0,j1,slack,bound) to this CSV path")
     _add_output(sub)
     sub.set_defaults(func=_cmd_certify_pair)
 
@@ -310,8 +314,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--x-max", type=float, default=0.48)
     sub.add_argument("--grid", type=int, default=1000)
     sub.add_argument("--margin", type=float, default=0.0001)
-    sub.add_argument("--confirm", action="store_true", help="enclose each x-interval's minimum cell in 113-bit interval arithmetic")
-    sub.add_argument("--slack-csv", help="dump per-cell slacks and rounding bounds to this CSV path")
+    sub.add_argument("--confirm", action="store_true", help="enclose the slack of each "
+                     "x-interval's lowest leaf in 113-bit interval arithmetic")
+    sub.add_argument("--slack-csv", help="write one row per leaf "
+                     "(interval,i0,i1,j0,j1,slack,bound) to this CSV path")
     _add_output(sub)
     sub.set_defaults(func=_cmd_certify_expansion)
 

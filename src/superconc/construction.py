@@ -322,6 +322,8 @@ def build_gamma(n: int, cfg: BuildConfig | None = None) -> SuperDag:
     _validate_size(n, cfg.base_size)
     if cfg.check_k_max < 1:
         raise ValueError(f"check_k_max must be >= 1, got {cfg.check_k_max}")
+    if cfg.retry_limit < 1:
+        raise ValueError(f"retry_limit must be >= 1, got {cfg.retry_limit}")
     dag = SuperDag()
     X = [dag.add_node("input", 0, ("X", i)) for i in range(1, n + 1)]
     Y = [dag.add_node("output", 0, ("Y", i)) for i in range(1, n + 1)]

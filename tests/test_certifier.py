@@ -494,6 +494,23 @@ def test_report_json_schema():
             "fb6eec8e19ce9965131eebac32926713ffc5a56e28bb884c374c848deff4276b",
             id="pair-100-failing",
         ),
+        # the benchmarked settings, which pin recheck, corners_evaluated
+        # (1163 and 6014) and error_bound
+        pytest.param(
+            lambda: certify_pair_inequality(grid_n=2000, confirm=True),
+            "abf3a6d6a61afacc5335e5a3aee9e80a1b5484eba5eedf016b1f67af02998956",
+            id="pair-2000-confirm",
+        ),
+        pytest.param(
+            lambda: certify_expansion_inequality(grid_n=2000, confirm=True),
+            "4b5b4fc6cc834f1eec2f69623af0e6e681615454a5bf17bae14c536cf7fccfda",
+            id="expansion-2000-confirm",
+        ),
+        pytest.param(  # failing cells on every x-interval
+            lambda: certify_expansion_inequality(grid_n=40, margin=0.02),
+            "96f8b96547e8802fe5b3dccb1482abb1295e4b5f3b1e7908cd9a945653d9f785",
+            id="expansion-40-margin-0.02",
+        ),
     ],
 )
 def test_report_json_golden_hash(make, want):
@@ -612,8 +629,8 @@ REFERENCE_CASES = [
     pytest.param(certify_expansion_inequality, {"grid_n": 40, "margin": 0.02}, id="expansion-margin-0.02"),
 ]
 
-# chunk caps for the driver: its own, two larger ones, 200 rectangles (50 cut
-# at a time) and one rectangle per kernel call
+# caps on the rectangles per kernel call: the driver's own, two larger ones,
+# 200 rectangles (50 cut at a time) and one rectangle cut at a time
 BLOCK_SIZES = sorted({16384, 8192, _BLOCK_CELLS, 200, 1}, reverse=True)
 
 # what the refinement must report as the full scan does; corners_evaluated,
@@ -652,6 +669,22 @@ def test_blocked_scan_matches_row_by_row_reference(tmp_path, monkeypatch, block,
     for a, i0, i1, j0, j1, s, e in leaves:
         if int(i1) - int(i0) == int(j1) - int(j0) == 1:
             assert cells[int(a), int(i0), int(j0)] == (s, e)
+
+
+def test_kernel_calls_stay_within_the_block_cap(monkeypatch):
+    # a certificate that fails on every cell refines down to every grid cell,
+    # in one kernel call per round of at most _BLOCK_CELLS rectangles
+    sizes = []
+
+    def slack(nb, x_min, *rest):
+        sizes.append(np.size(x_min))
+        return _pair_slack(nb, x_min, *rest)
+
+    monkeypatch.setattr(certifier, "_BLOCK_CELLS", 200)
+    monkeypatch.setattr(certifier, "_pair_slack", slack)
+    report = certify_pair_inequality(grid_n=60, margin=1.0)
+    assert report.failing_count == 3538
+    assert max(sizes) <= 200 and len(sizes) == 33
 
 
 def _flat_slack(nb, x_min, x_max, y_min, y_max, h):

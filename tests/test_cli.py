@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from superconc import cli
 from superconc.cli import main
 from superconc.randgraph import complete_bipartite, graph_from_text, graph_to_text
 
@@ -267,6 +268,7 @@ def test_verify_exhaustive_budget_refusal(tmp_path, capsys):
         # the threshold 2 ln(n)/n is 0 at n = 1, so no gap could pass
         (["stirling-scan", "--n", "1"], "--n must be >= 2, got 1"),
         (["stirling-scan", "--n", "128", "0"], "--n must be >= 2, got 0"),
+        (["build-sc", "--n", "40", "--retries", "0"], "retry_limit must be >= 1, got 0"),
     ],
 )
 def test_vacuous_check_counts_exit_two(tmp_path, capsys, argv, message):
@@ -388,6 +390,17 @@ def test_scalar_entropy_commands_golden_stdout(argv, want, capsys):
     # both evaluate entropy or log-binomials on Python floats
     assert main(argv) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == want
+
+
+def test_report_json_is_built_only_when_asked_for(monkeypatch, capsys):
+    # without --output or --print-json the report's JSON text is never formed
+    def refuse(*args, **kwargs):
+        raise RuntimeError("the report JSON was built")
+
+    monkeypatch.setattr(cli.json, "dumps", refuse)
+    monkeypatch.setattr(cli, "_finite_or_null", refuse)
+    assert main(["certify-pair", "--grid", "4", "--margin", "-1"]) == 0
+    assert "PASS" in capsys.readouterr().out
 
 
 def test_build_retry_exhaustion_exits_one(tmp_path, capsys):

@@ -160,6 +160,13 @@ def test_build_validates_size():
         build_gamma(10, _cfg(base=20))
 
 
+def test_build_refuses_a_retry_limit_below_one():
+    # no attempt at all could find an expander, so the build is refused up
+    # front instead of failing as if every draw had been rejected
+    with pytest.raises(ValueError, match="retry_limit must be >= 1, got 0"):
+        build_gamma(40, _cfg(retry_limit=0))
+
+
 def test_build_is_acyclic_with_topological_order():
     dag = build_gamma(40, _cfg())
     order = dag.topological_order()
