@@ -59,13 +59,14 @@ class BuildConfig:
     """Knobs of the recursive build.
 
     ``expanders`` switches from seeded sampling to explicit graphs: a mapping
-    from level size n to either one graph (used for both columns) or a pair
-    (forward, reverse-source).  Sampled expanders are drawn in the disjoint
-    mode so each level adds exactly 2*(d*n + floor(delta*n)) + 2n edges, and
-    are retried until they pass the acceptance checks: exact expansion for
-    subset sizes 1..check_k_max and pair expansion up to min(check_k_max,
-    c3*n).  A size k with C(n, k) above ``check_budget`` ends a check, and
-    the level record says so with ``complete: false, truncated_at: k``.
+    from level size n to the graph used for both columns.  Sampled
+    expanders are drawn in the disjoint mode so each level adds exactly
+    2*(d*n + floor(delta*n)) + 2n edges, and are retried until they pass the
+    acceptance checks: exact expansion for subset sizes 1..check_k_max and
+    pair expansion up to min(check_k_max, c3*n).  A size k with C(n, k)
+    above ``check_budget`` ends a check, and the level record says so with
+    ``complete: false, truncated_at: k``; a budget below C(n, 1) = n raises
+    EnumerationBudgetError, since no size would be checked.
     """
 
     base_size: int = 20
@@ -96,7 +97,6 @@ class SuperDag:
         self.outputs: list[int] = []
         self.level_records: list[dict] = []
         self._edge_set: set | None = None
-        self._succ: list[list[int]] | None = None
 
     @property
     def num_nodes(self) -> int:
@@ -113,7 +113,6 @@ class SuperDag:
             self.inputs.append(v)
         elif role == "output":
             self.outputs.append(v)
-        self._succ = None
         return v
 
     def add_edge(self, u: int, v: int) -> None:
@@ -123,7 +122,6 @@ class SuperDag:
             raise ValueError(f"duplicate edge ({u}, {v})")
         self.edges.append((u, v))
         self._edge_set.add((u, v))
-        self._succ = None
 
     def edge_count(self) -> int:
         return len(self.edges)
@@ -132,12 +130,10 @@ class SuperDag:
         return self.edge_count() / len(self.inputs)
 
     def successors(self) -> list[list[int]]:
-        if self._succ is None:
-            succ = [[] for _ in range(self.num_nodes)]
-            for u, v in self.edges:
-                succ[u].append(v)
-            self._succ = succ
-        return self._succ
+        succ = [[] for _ in range(self.num_nodes)]
+        for u, v in self.edges:
+            succ[u].append(v)
+        return succ
 
     def topological_order(self) -> list[int]:
         """Kahn's algorithm; raises if the graph has a cycle."""
@@ -233,12 +229,9 @@ class SuperDag:
             if sorted(ids) != by_role:
                 raise ValueError(f"{key} list disagrees with the node roles")
             by_role[:] = ids
-        try:
-            dag.edges = [(u, v) for u, v in payload["edges"]]
-        except (TypeError, ValueError):
-            raise ValueError("edges must be pairs of node ids") from None
-        for v in {v for edge in dag.edges for v in edge}:
-            node_id(v)
+        if not all(type(edge) is list and len(edge) == 2 for edge in payload["edges"]):
+            raise ValueError("edges must be pairs of node ids")
+        dag.edges = [(node_id(u), node_id(v)) for u, v in payload["edges"]]
         if len(set(dag.edges)) != len(dag.edges):
             dup = next(e for e, count in Counter(dag.edges).items() if count > 1)
             raise ValueError(f"duplicate edge {dup}")
@@ -290,10 +283,9 @@ def _acceptance_checks(g: BipartiteGraph, cfg: BuildConfig):
 def _level_expander(cfg: BuildConfig, n: int, level: int, side: str):
     if cfg.expanders is not None:
         try:
-            entry = cfg.expanders[n]
+            g = cfg.expanders[n]
         except KeyError:
             raise BuildError(f"no explicit expander of size {n} provided") from None
-        g = entry[0 if side == "x" else 1] if isinstance(entry, tuple) else entry
         if g.n != n:
             raise BuildError(f"explicit expander for size {n} has n={g.n}")
         checks, _ = _acceptance_checks(g, cfg)

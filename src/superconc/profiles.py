@@ -31,10 +31,12 @@ __all__ = [
 def as_fraction(x) -> Fraction:
     """Exact rational from int/str/Fraction; floats are read as their shortest
     decimal representation (0.325 -> 13/40), matching how such constants are
-    written down."""
-    if isinstance(x, float):
-        return Fraction(decimal.Decimal(repr(x)))
-    return Fraction(x)
+    written down.  A zero denominator ("1/0") or an infinite float raises
+    ValueError, as other unreadable values do."""
+    try:
+        return Fraction(decimal.Decimal(repr(x))) if isinstance(x, float) else Fraction(x)
+    except (ZeroDivisionError, OverflowError):
+        raise ValueError(f"{x!r} is not a finite rational") from None
 
 
 @dataclass(frozen=True)
@@ -105,7 +107,7 @@ class PiecewiseLinear:
             if not line or line.startswith("#"):
                 continue
             xs, ys = line.split()
-            pts.append((Fraction(xs), Fraction(ys)))
+            pts.append((as_fraction(xs), as_fraction(ys)))
         return cls(tuple(pts))
 
 

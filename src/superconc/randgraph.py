@@ -429,13 +429,16 @@ def _sweep(kind: str, masks: tuple, rows: Iterable, budget: int) -> SubsetCheckR
 
     The sweep stops at the first failure, keeping its witness, or at the
     first size whose C(n, k) exceeds the budget, which it records as
-    ``truncated_at``.
+    ``truncated_at``.  A budget that stops it before its first size raises
+    EnumerationBudgetError: a report over no size would pass vacuously.
     """
     entries = []
     for k, required in rows:
         try:
             achieved, witness = _min_subset_score(masks, k, budget)
         except EnumerationBudgetError:
+            if not entries:
+                raise
             return SubsetCheckReport(kind, k, tuple(entries))
         failed = achieved < required
         entries.append(SubsetCheckEntry(k, required, achieved, witness if failed else ()))
@@ -451,7 +454,8 @@ def check_expander_profile(
 
     Subset sizes k realize the fractions alpha = k/n; the requirement is
     evaluated exactly when the profile is rational.  A budget hit produces a
-    partial report flagged via ``complete=False``.
+    partial report flagged via ``complete=False``, or EnumerationBudgetError
+    when it comes at the first size.
     """
     rows = ((k, math.ceil(profile.eval(Fraction(k, g.n)) * g.n)) for k in range(1, k_max + 1))
     return _sweep("expansion", g.masks, rows, budget)
@@ -494,7 +498,7 @@ def graph_from_text(text: str) -> BipartiteGraph:
     if head[1] == "-":
         provenance = EXPLICIT
     else:
-        provenance = (int(head[3]), int(head[1]), Fraction(head[2]))
+        provenance = (int(head[3]), int(head[1]), as_fraction(head[2]))
     rows = [[int(t) for t in ln.split()] for ln in lines[1 : n + 1]]
     if any(ln.strip() for ln in lines[n + 1 :]):
         raise ValueError(f"unexpected text after the {n} adjacency rows")

@@ -105,6 +105,31 @@ def test_certify_rejects_bad_parameters(argv, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, files",
+    [
+        (["check-conditions", "--delta", "1/0"], {}),
+        (["check-conditions", "--gamma", "1/0"], {}),
+        (["sample-expander", "--n", "20", "--delta", "1/0"], {}),
+        (["prob-bound", "--kind", "pair", "--n", "8", "--k", "2", "--m", "2", "--delta", "1/0"], {}),
+        (["certify-expansion", "--d", "1/0"], {}),
+        (["certify-expansion", "--delta", "inf", "--grid", "10"], {}),
+        (["check-expansion", "--pairs", "--alpha-max", "1/0"], {}),
+        (["check-expansion", "--pairs", "--gamma", "1/0"], {}),
+        (["check-expansion", "--graph", "g.txt"], {"g.txt": "20 5 1/0 3\n"}),
+        (["check-expansion", "--profile", "p.txt"], {"p.txt": "0 0\n1/0 1\n1 1\n"}),
+    ],
+)
+def test_unreadable_rationals_exit_two(argv, files, tmp_path, monkeypatch, capsys):
+    # a zero denominator or an infinite float is a usage error, not a crash
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.out == ""
+
+
 def test_sample_expander_round_trip(tmp_path, capsys):
     out = tmp_path / "g.txt"
     dot = tmp_path / "g.dot"
@@ -269,6 +294,9 @@ def test_verify_exhaustive_budget_refusal(tmp_path, capsys):
         (["stirling-scan", "--n", "1"], "--n must be >= 2, got 1"),
         (["stirling-scan", "--n", "128", "0"], "--n must be >= 2, got 0"),
         (["build-sc", "--n", "40", "--retries", "0"], "retry_limit must be >= 1, got 0"),
+        # a budget below C(n, 1) = n stops each sweep before its first size
+        (["check-expansion", "--n", "20", "--budget", "19"], "C(20,1) size-1 subsets needs 20"),
+        (["build-sc", "--n", "40", "--budget", "0"], "C(40,1) size-1 subsets needs 40"),
     ],
 )
 def test_vacuous_check_counts_exit_two(tmp_path, capsys, argv, message):
@@ -283,6 +311,12 @@ def test_vacuous_check_counts_exit_two(tmp_path, capsys, argv, message):
     captured = capsys.readouterr()
     assert message in captured.err
     assert "PASS" not in captured.out and "FAIL" not in captured.out
+
+
+def test_complete_expanders_under_a_negative_base_exit_two(capsys):
+    # listing the level sizes n, n/2, ... above the base never ended for base < 0
+    assert main(["build-sc", "--n", "40", "--base", "-1", "--expander", "complete"]) == 2
+    assert "base size must be positive: -1" in capsys.readouterr().err
 
 
 def test_verify_complete_expander_exhaustive(tmp_path, capsys):
@@ -468,6 +502,7 @@ def test_verify_accepts_hand_written_graph(tmp_path):
         (_first_node(level=0.5), "'level' that is not an integer"),
         (_first_node(level=True), "'level' that is not an integer"),
         (_graph_payload(levels=[{"level": 0}, 3]), "level record 3 is not an object"),
+        (_graph_payload(edges=[[[1], 2], [0, 3]]), "node id [1] outside 0..3"),
     ],
     ids=[
         "non-object-node",
@@ -490,6 +525,7 @@ def test_verify_accepts_hand_written_graph(tmp_path):
         "level-a-float",
         "level-a-bool",
         "level-record-not-an-object",
+        "list-endpoint",
     ],
 )
 def test_verify_rejects_malformed_graph(tmp_path, capsys, payload, message):

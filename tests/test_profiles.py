@@ -25,6 +25,18 @@ def test_as_fraction_reads_floats_as_decimals():
     assert as_fraction(2) == 2
 
 
+@pytest.mark.parametrize("value", ["1/0", "-3/0", float("inf"), float("-inf"), float("nan"), "nan"])
+def test_as_fraction_refuses_what_no_rational_is(value):
+    # Fraction raises ZeroDivisionError and OverflowError for the first four
+    with pytest.raises(ValueError):
+        as_fraction(value)
+
+
+def test_profile_text_refuses_a_zero_denominator():
+    with pytest.raises(ValueError, match="'1/0' is not a finite rational"):
+        PiecewiseLinear.from_text("0 0\n1/0 1\n1 1\n")
+
+
 def test_derived_constants():
     assert C.c2 == Fraction("0.4377") == C.c5
     assert C.c4 == Fraction("0.5623")
