@@ -17,10 +17,13 @@ the two subsets (see ``_PathCounter``), computed by Hopcroft-Karp.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import itertools
 import json
 import math
-from collections import Counter
+import os
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -217,9 +220,11 @@ class SuperDag:
             if not isinstance(record, dict):
                 raise ValueError(f"level record {record!r} is not an object")
 
+        nv = dag.num_nodes
+
         def node_id(v):
-            if type(v) is not int or not 0 <= v < dag.num_nodes:
-                raise ValueError(f"node id {v!r} outside 0..{dag.num_nodes - 1}")
+            if type(v) is not int or not 0 <= v < nv:
+                raise ValueError(f"node id {v!r} outside 0..{nv - 1}")
             return v
 
         # add_node listed the inputs and outputs by role in id order; the
@@ -229,9 +234,15 @@ class SuperDag:
             if sorted(ids) != by_role:
                 raise ValueError(f"{key} list disagrees with the node roles")
             by_role[:] = ids
-        if not all(type(edge) is list and len(edge) == 2 for edge in payload["edges"]):
+        edges = payload["edges"]
+        if not all(type(edge) is list and len(edge) == 2 for edge in edges):
             raise ValueError("edges must be pairs of node ids")
-        dag.edges = [(node_id(u), node_id(v)) for u, v in payload["edges"]]
+        # one pass keeps the pairs of in-range integer ids; if it drops one,
+        # node_id names the first bad id
+        dag.edges = [(u, v) for u, v in edges if type(u) is type(v) is int and 0 <= u < nv and 0 <= v < nv]
+        if len(dag.edges) < len(edges):
+            for v in itertools.chain.from_iterable(edges):
+                node_id(v)
         if len(set(dag.edges)) != len(dag.edges):
             dup = next(e for e, count in Counter(dag.edges).items() if count > 1)
             raise ValueError(f"duplicate edge {dup}")
@@ -387,9 +398,10 @@ class _PathCounter:
     """
 
     def __init__(self, dag: SuperDag):
-        # numpy and scipy load with the first path counter and its first
-        # query, so building a dag (build-sc) never imports them
+        # numpy and scipy load with the first path counter, before any
+        # worker forks, so building a dag (build-sc) never imports them
         import numpy as np
+        import scipy.sparse.csgraph  # noqa: F401
 
         nv = dag.num_nodes
         ids = np.arange(nv, dtype=np.int32)
@@ -424,6 +436,59 @@ class _PathCounter:
         graph = csr_matrix((np.ones(len(cols), dtype=np.int8), cols, indptr), shape=(nv, nv))
         matched = np.count_nonzero(maximum_bipartite_matching(graph, perm_type="column") >= 0)
         return int(matched) - (nv - len(S) - len(T))
+
+
+# a worker's task holds max(16, _CHUNK_NODES // nodes) queries, so that a
+# chunk of cheap queries on a small dag still outweighs its round trip
+_CHUNK_NODES = 2**15
+_inherited: list = []  # a forked worker's path counter, put there as it starts
+
+
+def _counts(chunk, solver=None) -> list[int]:
+    """Path counts of the chunk's (S, T) queries, up to the first below |S|;
+    a forked worker queries the path counter it inherited."""
+    solver = solver or _inherited[0]
+    counts = []
+    for S, T in chunk:
+        counts.append(solver.query(S, T))
+        if counts[-1] != len(S):
+            break
+    return counts
+
+
+def _first_shortfall(solver: _PathCounter, draws):
+    """(queries run, (S, T, count) of the first query below |S| or None) for
+    the (S, T) draws in draw order.  Chunks of them run on forked workers,
+    one per usable CPU, which inherit the solver; the first shortfall cancels
+    the chunks not yet started.  With one CPU, no fork or one chunk, the same
+    loop runs them in process."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    size = max(16, _CHUNK_NODES // solver.nv)
+    chunks = iter(lambda: list(itertools.islice(draws, size)), [])
+    head = list(itertools.islice(chunks, 2 * cpus))
+    workers = min(cpus, len(head))
+    with contextlib.ExitStack() as stack:
+        submit = lambda chunk: functools.partial(_counts, chunk, solver)
+        if workers > 1:
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
+            if "fork" in multiprocessing.get_all_start_methods():
+                fork = multiprocessing.get_context("fork")
+                pool = ProcessPoolExecutor(workers, fork, _inherited.append, (solver,))
+                stack.callback(pool.shutdown, cancel_futures=True)  # also reaps the workers
+                submit = lambda chunk: pool.submit(_counts, chunk).result
+        window = deque((chunk, submit(chunk)) for chunk in head)
+        checked = 0
+        while window:
+            chunk, result = window.popleft()
+            window.extend((chunk, submit(chunk)) for chunk in itertools.islice(chunks, 1))
+            counts = result()
+            checked += len(counts)
+            S, T = chunk[len(counts) - 1]
+            if counts[-1] != len(S):
+                return checked, (S, T, counts[-1])
+        return checked, None
 
 
 def max_disjoint_paths(dag: SuperDag, S, T) -> int:
@@ -480,6 +545,9 @@ def verify_superconcentrator(
     and T sorted.  A dag whose input and output
     counts differ, or are zero, is refused: it is no superconcentrator, and
     neither mode would check the sizes it lacks.
+
+    The queries run on forked workers, one per CPU in the process's affinity
+    mask; the report is the serial scan's, whatever the CPU count.
     """
     n = len(dag.inputs)
     if n != len(dag.outputs) or n == 0:
@@ -487,37 +555,36 @@ def verify_superconcentrator(
             f"a superconcentrator needs as many inputs as outputs, at least one: "
             f"got {n} inputs and {len(dag.outputs)} outputs"
         )
-    solver = _PathCounter(dag)
     if mode == "exhaustive":
         total = sum(math.comb(n, k) ** 2 for k in range(1, n + 1))
         if total > budget:
             raise EnumerationBudgetError(
                 f"exhaustive verification over {n} inputs", total, budget
             )
-        checked = 0
-        for k in range(1, n + 1):
-            for S in itertools.combinations(dag.inputs, k):
-                for T in itertools.combinations(dag.outputs, k):
-                    checked += 1
-                    got = solver.query(list(S), list(T))
-                    if got != k:
-                        return VerifyReport(False, mode, checked, (k, S, T, got))
-        return VerifyReport(True, mode, checked, None)
-    if mode == "sampled":
+        draws = (
+            (list(S), list(T))
+            for k in range(1, n + 1)
+            for S in itertools.combinations(dag.inputs, k)
+            for T in itertools.combinations(dag.outputs, k)
+        )
+    elif mode == "sampled":
         if trials < 1:
             raise ValueError(f"trials must be >= 1, got {trials}")
-        import numpy as np  # already loaded by the path counter
+        import numpy as np
 
         rng = np.random.default_rng(derive_seed("verify", seed))
         inputs = np.asarray(dag.inputs)
         outputs = np.asarray(dag.outputs)
-        for t in range(trials):
-            k = int(rng.integers(1, n, endpoint=True))
-            S = inputs[rng.choice(n, k, replace=False)]
-            T = outputs[rng.choice(n, k, replace=False)]
-            got = solver.query(S, T)
-            if got != k:
-                ce = (k, tuple(sorted(S.tolist())), tuple(sorted(T.tolist())), got)
-                return VerifyReport(False, mode, t + 1, ce)
-        return VerifyReport(True, mode, trials, None)
-    raise ValueError(f"unknown mode {mode!r}")
+        choose = functools.partial(rng.choice, n, replace=False)
+        # k, then S, then T, trial after trial: a tuple's items run left to right
+        sizes = (int(rng.integers(1, n, endpoint=True)) for _ in range(trials))
+        draws = ((inputs[choose(k)], outputs[choose(k)]) for k in sizes)
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    checked, shortfall = _first_shortfall(_PathCounter(dag), draws)
+    if shortfall is None:
+        return VerifyReport(True, mode, checked, None)
+    S, T, got = shortfall
+    if mode == "sampled":
+        S, T = sorted(S.tolist()), sorted(T.tolist())
+    return VerifyReport(False, mode, checked, (len(S), tuple(S), tuple(T), got))

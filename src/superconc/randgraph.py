@@ -164,7 +164,9 @@ def _mask_to_labels(mask: int) -> tuple:
     return tuple(out)
 
 
-def sample_g(n: int, d: int, delta, seed: int, *, disjoint: bool = False) -> BipartiteGraph:
+def sample_g(
+    n: int, d: int, delta, seed: int, *, disjoint: bool = False, within=None
+) -> BipartiteGraph | None:
     """Overlay d seeded random permutations plus pinned edges (i, i) for
     i <= floor(delta*n).
 
@@ -177,7 +179,10 @@ def sample_g(n: int, d: int, delta, seed: int, *, disjoint: bool = False) -> Bip
     and the next attempt continues the same substream.  Such
     permutations exist exactly when d <= n, or d <= n - 1 once an edge is
     pinned (the cyclic shifts attain both); other requests, and draws that
-    exhaust the redraw cap, raise ValueError.
+    exhaust the redraw cap, raise ValueError.  A plain draw stops once every
+    row is full, which no later permutation can change.  With ``within``,
+    per-row bitmasks, a plain draw returns None at its first permutation
+    edge outside them.
     """
     if n < 1 or d < 1:
         raise ValueError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
@@ -194,17 +199,23 @@ def sample_g(n: int, d: int, delta, seed: int, *, disjoint: bool = False) -> Bip
     # the pinned diagonal goes in first, so disjoint draws avoid it like
     # the earlier permutations: in that mode masks are the forbidden labels
     masks = [1 << i if i < pinned else 0 for i in range(n)]
+    full = (1 << n) - 1
+    outside = None if within is None else [full ^ m for m in within]
     for j in range(d):
+        if not disjoint and masks.count(full) == n:
+            break
         getrandbits = random.Random(derive_seed("perm", seed, j)).getrandbits
         for _ in range(_MAX_RESAMPLE if disjoint else 1):
-            perm = _fisher_yates(getrandbits, n, masks if disjoint else None)
-            if perm is not None:
+            perm = _fisher_yates(getrandbits, n, masks if disjoint else outside)
+            if perm is not None or not disjoint:
                 break
         else:
             raise ValueError(
                 f"could not draw permutation {j + 1} of {d} avoiding the previous "
                 f"ones at n={n} in {_MAX_RESAMPLE} tries; the disjoint mode needs d well below n"
             )
+        if perm is None:  # a plain draw left ``within``
+            return None
         for i, v in enumerate(perm):
             masks[i] |= 1 << (v - 1)
 
@@ -513,7 +524,8 @@ def graph_from_text(text: str) -> BipartiteGraph:
 def _is_sampled(g: BipartiteGraph) -> bool:
     """Whether sample_g, in plain or disjoint mode, draws g from its provenance."""
     seed, d, delta = g.provenance
-    if sample_g(g.n, d, delta, seed).masks == g.masks:
+    plain = sample_g(g.n, d, delta, seed, within=g.masks)
+    if plain is not None and plain.masks == g.masks:
         return True
     try:
         return sample_g(g.n, d, delta, seed, disjoint=True).masks == g.masks

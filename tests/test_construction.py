@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+import os
 import random
 from collections import Counter
 from fractions import Fraction
@@ -34,6 +35,13 @@ def _cfg(base=20, seed=7, **kw):
 
 def gamma8_complete(seed=0):
     return build_gamma(8, BuildConfig(base_size=4, expanders={8: complete_bipartite(8)}))
+
+
+def _starved_gamma8():
+    """Γ(8) whose first two inputs keep one shared successor."""
+    dag = gamma8_complete()
+    first = dag.successors()[dag.inputs[0]][0]
+    return dag.without_edges((u, v) for u, v in dag.edges if u in dag.inputs[:2] and v != first)
 
 
 # --- brute-force oracle: maximum family of node-disjoint paths --------------
@@ -363,6 +371,8 @@ def test_sampled_verify_draws_k_and_subsets_uniformly(monkeypatch):
         return len(S)
 
     monkeypatch.setattr(construction._PathCounter, "query", record)
+    # forked workers would record into their own copies of `seen`
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     trials = 20_000
     assert verify_superconcentrator(dag, mode="sampled", trials=trials, seed=3).passed
     by_k = Counter(len(S) for S, _ in seen)
@@ -398,11 +408,7 @@ def test_faulty_graph_reports_are_pinned():
     # the exhaustive report is pinned to a node-split max-flow verifier; the
     # sampled reports are pinned to the seeded streams, and their
     # counterexamples re-checked against the node-split reference
-    dag = gamma8_complete()
-    first = dag.successors()[dag.inputs[0]][0]
-    starved = dag.without_edges(
-        (u, v) for u, v in dag.edges if u in dag.inputs[:2] and v != first
-    )
+    starved = _starved_gamma8()
     assert verify_superconcentrator(starved, mode="exhaustive") == VerifyReport(
         False, "exhaustive", 65, (2, (0, 1), (8, 9), 1)
     )
@@ -424,6 +430,108 @@ def test_unknown_mode_rejected():
     dag = build_gamma(4, BuildConfig(base_size=4))
     with pytest.raises(ValueError):
         verify_superconcentrator(dag, mode="bogus")
+
+
+# --- forked evaluation -------------------------------------------------------
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The process pools verification starts, by their worker counts."""
+    from concurrent import futures
+
+    started = []
+
+    class Counted(futures.ProcessPoolExecutor):
+        def __init__(self, workers, *args, **kwargs):
+            started.append(workers)
+            super().__init__(workers, *args, **kwargs)
+
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", Counted)
+    return started
+
+
+def _cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+@pytest.fixture
+def small_chunks(monkeypatch):
+    """16 queries per chunk on any dag, so small test graphs span many chunks."""
+    monkeypatch.setattr(construction, "_CHUNK_NODES", 0)
+
+
+def _late_failure_gamma80():
+    # its first sampled shortfall comes after the first window of chunks
+    dag = build_gamma(80, BuildConfig(seed=80))
+    return dag.without_edges(random.Random(100).sample(dag.edges, 64))
+
+
+FORK_CASES = {
+    "exhaustive-starved": (_starved_gamma8, dict(mode="exhaustive")),
+    "sampled-starved": (_starved_gamma8, dict(mode="sampled", trials=50, seed=4)),
+    "sampled-late-failure": (_late_failure_gamma80, dict(mode="sampled", trials=200, seed=0)),
+    **{
+        f"sampled-gamma40-seed{seed}": (lambda: build_gamma(40, _cfg()), dict(mode="sampled", trials=60, seed=seed))
+        for seed in range(4)
+    },
+}
+
+
+@pytest.mark.parametrize("case", FORK_CASES)
+def test_forked_and_in_process_reports_agree(monkeypatch, pools, small_chunks, case):
+    make, kwargs = FORK_CASES[case]
+    dag = make()
+    _cpus(monkeypatch, 2)
+    forked = verify_superconcentrator(dag, **kwargs)
+    _cpus(monkeypatch, 1)
+    in_process = verify_superconcentrator(dag, **kwargs)
+    assert forked == in_process
+    assert pools == [2]
+    if case == "sampled-late-failure":
+        # past the first window of 16-query chunks; pinned to the serial scan
+        k, S, T, achieved = forked.counterexample
+        assert (forked.passed, forked.pairs_checked, k, achieved) == (False, 126, 80, 79)
+        assert _node_split_max_flow(dag, S, T) == achieved
+
+
+def test_forked_exhaustive_scan_checks_every_pair(monkeypatch, pools):
+    # the in-process report of this scan is pinned by the acceptance tests;
+    # its 12 869 queries go in chunks of 1 024
+    _cpus(monkeypatch, 2)
+    report = verify_superconcentrator(gamma8_complete(), mode="exhaustive")
+    assert report == VerifyReport(True, "exhaustive", math.comb(16, 8) - 1, None)
+    assert pools == [2]
+
+
+def test_one_chunk_runs_in_process(monkeypatch, pools):
+    _cpus(monkeypatch, 2)
+    dag = build_gamma(40, _cfg())
+    size = construction._CHUNK_NODES // dag.num_nodes
+    assert verify_superconcentrator(dag, mode="sampled", trials=size) == VerifyReport(True, "sampled", size, None)
+    assert pools == []
+    assert verify_superconcentrator(dag, mode="sampled", trials=size + 1).pairs_checked == size + 1
+    assert pools == [2]
+
+
+def test_verification_reaps_its_workers(monkeypatch, pools, small_chunks):
+    import multiprocessing
+
+    _cpus(monkeypatch, 2)
+    dag = gamma8_complete()
+    assert verify_superconcentrator(dag, mode="sampled", trials=100).passed
+    assert multiprocessing.active_children() == []
+    assert not verify_superconcentrator(_starved_gamma8(), mode="exhaustive").passed
+    assert multiprocessing.active_children() == []
+
+    def fail(self, S, T):
+        raise RuntimeError("query failed")
+
+    monkeypatch.setattr(construction._PathCounter, "query", fail)
+    with pytest.raises(RuntimeError, match="query failed"):
+        verify_superconcentrator(dag, mode="sampled", trials=100)
+    assert multiprocessing.active_children() == []
+    assert pools == [2, 2, 2]
 
 
 # --- serialization and manifest ----------------------------------------------

@@ -13,6 +13,9 @@ import pytest
 import superconc
 
 HEAVY = ("mpmath", "numpy", "scipy")
+WATCHED = ("mpmath", "numpy", "scipy", "scipy.special", "scipy.sparse.csgraph")
+# verification forks its workers through these, imported inside the call
+POOL = ("multiprocessing", "concurrent.futures")
 
 # the commands of the cold-start benchmark mix, at small sizes
 LIGHT_COMMANDS = [
@@ -44,8 +47,8 @@ OLD_EXPORTS = {
 }
 
 
-def _loaded_after(code: str) -> list:
-    """The heavy modules in sys.modules after running `code` in a fresh
+def _loaded_after(code: str, watch=WATCHED) -> list:
+    """The modules of `watch` in sys.modules after running `code` in a fresh
     interpreter that imports the package from this checkout."""
     src = os.path.dirname(os.path.dirname(superconc.__file__))
     env = dict(os.environ)
@@ -53,7 +56,7 @@ def _loaded_after(code: str) -> list:
     probe = (
         "import json, sys\n"
         f"{code}\n"
-        "watch = ('mpmath', 'numpy', 'scipy', 'scipy.special', 'scipy.sparse.csgraph')\n"
+        f"watch = {tuple(watch)!r}\n"
         "print(json.dumps([m for m in watch if m in sys.modules]), file=sys.__stdout__)\n"
     )
     proc = subprocess.run(
@@ -67,19 +70,31 @@ def _loaded_after(code: str) -> list:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+def _quiet_main(argv: list) -> str:
+    """Code that runs the command line on argv with its output discarded."""
+    return (
+        "import contextlib, io\n"
+        "from superconc.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    assert main({argv!r}) == 0\n"
+    )
+
+
 def test_package_import_loads_no_heavy_library():
     assert _loaded_after("import superconc") == []
 
 
 @pytest.mark.parametrize("argv", LIGHT_COMMANDS, ids=lambda a: " ".join(a[:3]))
 def test_light_command_loads_no_heavy_library(argv):
-    code = (
-        "import contextlib, io\n"
-        "from superconc.cli import main\n"
-        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
-        f"    assert main({argv!r}) == 0\n"
-    )
-    assert not set(_loaded_after(code)) & set(HEAVY)
+    loaded = set(_loaded_after(_quiet_main(argv), WATCHED + POOL))
+    assert not loaded & set(HEAVY)
+    assert not loaded & set(POOL)
+
+
+def test_construction_import_and_build_load_no_process_pool(tmp_path):
+    assert _loaded_after("import superconc.construction", POOL) == []
+    build = ["build-sc", "--n", "40", "--output", str(tmp_path / "g.json")]
+    assert _loaded_after(_quiet_main(build), POOL) == []
 
 
 def test_heavy_modules_load_their_libraries_at_import(tmp_path):

@@ -14,9 +14,8 @@ from superconc.profiles import PiecewiseLinear
 from superconc.randgraph import complete_bipartite, graph_from_text, graph_to_text, sample_g
 
 EDGES = ["-1", "0", "1", "2", "1/0", "nan"]
-# small values only: a graph header with a huge degree d makes the
-# provenance check draw that many permutations
-TOKENS = EDGES + ["3", "1/2", "-", "x", ""]
+# 10^8 as a header degree d must load or be refused as fast as a small one
+TOKENS = EDGES + ["3", "1/2", "-", "x", "", "100000000"]
 VALUES = [-1, 0, 1, 2, 1.5, True, None, "x", [], [1], {}, [[1], 2], [0, 1, 2]]
 
 GRAPH_JSON = build_gamma(8, BuildConfig(base_size=4, expanders={8: complete_bipartite(8)})).to_json()
@@ -84,6 +83,14 @@ def test_mutated_graph_json_loads_or_raises_value_error(payload):
 @given(text=mutated_text(GRAPH_TEXTS))
 def test_mutated_graph_text_loads_or_raises_value_error(text):
     _loads_or_value_error(graph_from_text, text)
+
+
+@FUZZ
+@given(text=st.sampled_from(GRAPH_TEXTS[:2]), d=st.integers(-1, 10**12))
+def test_graph_text_under_any_header_degree_loads_or_raises_value_error(text, d):
+    header, rows = text.split("\n", 1)
+    n, _, delta, seed = header.split()
+    _loads_or_value_error(graph_from_text, f"{n} {d} {delta} {seed}\n{rows}")
 
 
 @FUZZ

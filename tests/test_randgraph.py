@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -159,6 +160,39 @@ def test_plain_sample_g_overlays_shuffled_permutations():
         for i, v in enumerate(perm):
             masks[i] |= 1 << (v - 1)
     assert sample_g(n, d, delta, seed).masks == tuple(masks)
+
+
+def test_plain_sample_g_stops_once_every_row_is_full():
+    # later permutations cannot change a full union, so the draw stops there
+    # and a degree of 10^8 returns at once with the graph of any large d
+    g = sample_g(6, 10**8, 0, 2)
+    assert g.masks == (63,) * 6 == sample_g(6, 200, 0, 2).masks
+    assert g.provenance == (2, 10**8, 0)
+
+
+def test_sample_g_within_stops_at_the_first_edge_outside():
+    g = sample_g(12, 3, "1/4", 4)
+    assert sample_g(12, 3, "1/4", 4, within=g.masks) == g
+    assert sample_g(12, 4, "1/4", 4, within=g.masks) is None
+    assert sample_g(12, 10**8, "1/4", 4, within=g.masks) is None
+
+
+@pytest.mark.parametrize("rows, n", [("full", 20), ("sampled", 20), ("sampled", 600)])
+def test_huge_header_degree_loads_or_is_rejected_at_once(rows, n):
+    # at n = 600 a plain draw fills every row only after thousands of
+    # permutations; the check must stop at the first edge the rows lack
+    header = f"{n} 100000000 1/4 3\n"
+    if rows == "full":
+        body = "\n".join(" ".join(str(j) for j in range(1, n + 1)) for _ in range(n))
+    else:
+        body = graph_to_text(sample_g(n, 3, "1/4", 3)).split("\n", 1)[1]
+    start = time.perf_counter()
+    if rows == "full":
+        assert graph_from_text(header + body).edge_count() == n * n
+    else:
+        with pytest.raises(ValueError, match="rows differ"):
+            graph_from_text(header + body)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_disjoint_mode_feasibility_boundary(monkeypatch):
