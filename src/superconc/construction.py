@@ -220,29 +220,23 @@ class SuperDag:
             if not isinstance(record, dict):
                 raise ValueError(f"level record {record!r} is not an object")
 
-        nv = dag.num_nodes
-
-        def node_id(v):
-            if type(v) is not int or not 0 <= v < nv:
-                raise ValueError(f"node id {v!r} outside 0..{nv - 1}")
-            return v
+        def check_ids(ids):
+            nv = dag.num_nodes
+            bad = [v for v in ids if type(v) is not int or not 0 <= v < nv]
+            if bad:
+                raise ValueError(f"node id {bad[0]!r} outside 0..{nv - 1}")
 
         # add_node listed the inputs and outputs by role in id order; the
         # file's lists must hold the same ids, in the order the file gives
         for key, by_role in (("inputs", dag.inputs), ("outputs", dag.outputs)):
-            ids = [node_id(v) for v in payload[key]]
-            if sorted(ids) != by_role:
+            check_ids(payload[key])
+            if sorted(payload[key]) != by_role:
                 raise ValueError(f"{key} list disagrees with the node roles")
-            by_role[:] = ids
-        edges = payload["edges"]
-        if not all(type(edge) is list and len(edge) == 2 for edge in edges):
+            by_role[:] = payload[key]
+        if not all(type(edge) is list and len(edge) == 2 for edge in payload["edges"]):
             raise ValueError("edges must be pairs of node ids")
-        # one pass keeps the pairs of in-range integer ids; if it drops one,
-        # node_id names the first bad id
-        dag.edges = [(u, v) for u, v in edges if type(u) is type(v) is int and 0 <= u < nv and 0 <= v < nv]
-        if len(dag.edges) < len(edges):
-            for v in itertools.chain.from_iterable(edges):
-                node_id(v)
+        check_ids(itertools.chain.from_iterable(payload["edges"]))
+        dag.edges = list(map(tuple, payload["edges"]))
         if len(set(dag.edges)) != len(dag.edges):
             dup = next(e for e, count in Counter(dag.edges).items() if count > 1)
             raise ValueError(f"duplicate edge {dup}")
@@ -438,57 +432,18 @@ class _PathCounter:
         return int(matched) - (nv - len(S) - len(T))
 
 
-# a worker's task holds max(16, _CHUNK_NODES // nodes) queries, so that a
-# chunk of cheap queries on a small dag still outweighs its round trip
-_CHUNK_NODES = 2**15
-_inherited: list = []  # a forked worker's path counter, put there as it starts
+_inherited: list = []  # a forked worker's path counter, put there as it starts; the parent's stays empty
 
 
-def _counts(chunk, solver=None) -> list[int]:
-    """Path counts of the chunk's (S, T) queries, up to the first below |S|;
-    a forked worker queries the path counter it inherited."""
+def _scan(chunk, solver=None):
+    """(queries run, (S, T, count) of the first below |S| or None) for a
+    chunk of (S, T) queries; a forked worker queries the one it inherited."""
     solver = solver or _inherited[0]
-    counts = []
-    for S, T in chunk:
-        counts.append(solver.query(S, T))
-        if counts[-1] != len(S):
-            break
-    return counts
-
-
-def _first_shortfall(solver: _PathCounter, draws):
-    """(queries run, (S, T, count) of the first query below |S| or None) for
-    the (S, T) draws in draw order.  Chunks of them run on forked workers,
-    one per usable CPU, which inherit the solver; the first shortfall cancels
-    the chunks not yet started.  With one CPU, no fork or one chunk, the same
-    loop runs them in process."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    size = max(16, _CHUNK_NODES // solver.nv)
-    chunks = iter(lambda: list(itertools.islice(draws, size)), [])
-    head = list(itertools.islice(chunks, 2 * cpus))
-    workers = min(cpus, len(head))
-    with contextlib.ExitStack() as stack:
-        submit = lambda chunk: functools.partial(_counts, chunk, solver)
-        if workers > 1:
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-
-            if "fork" in multiprocessing.get_all_start_methods():
-                fork = multiprocessing.get_context("fork")
-                pool = ProcessPoolExecutor(workers, fork, _inherited.append, (solver,))
-                stack.callback(pool.shutdown, cancel_futures=True)  # also reaps the workers
-                submit = lambda chunk: pool.submit(_counts, chunk).result
-        window = deque((chunk, submit(chunk)) for chunk in head)
-        checked = 0
-        while window:
-            chunk, result = window.popleft()
-            window.extend((chunk, submit(chunk)) for chunk in itertools.islice(chunks, 1))
-            counts = result()
-            checked += len(counts)
-            S, T = chunk[len(counts) - 1]
-            if counts[-1] != len(S):
-                return checked, (S, T, counts[-1])
-        return checked, None
+    for i, (S, T) in enumerate(chunk, 1):
+        got = solver.query(S, T)
+        if got != len(S):
+            return i, (S, T, got)
+    return len(chunk), None
 
 
 def max_disjoint_paths(dag: SuperDag, S, T) -> int:
@@ -546,8 +501,9 @@ def verify_superconcentrator(
     counts differ, or are zero, is refused: it is no superconcentrator, and
     neither mode would check the sizes it lacks.
 
-    The queries run on forked workers, one per CPU in the process's affinity
-    mask; the report is the serial scan's, whatever the CPU count.
+    The draws go in order, 16 to a chunk, to forked workers, one per CPU in
+    the process's affinity mask, or run in process with one such CPU or one
+    chunk; the report is the same either way.
     """
     n = len(dag.inputs)
     if n != len(dag.outputs) or n == 0:
@@ -581,7 +537,32 @@ def verify_superconcentrator(
         draws = ((inputs[choose(k)], outputs[choose(k)]) for k in sizes)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    checked, shortfall = _first_shortfall(_PathCounter(dag), draws)
+    solver = _PathCounter(dag)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    chunks = iter(lambda: list(itertools.islice(draws, 16)), [])
+    with contextlib.ExitStack() as stack:
+        head = list(itertools.islice(chunks, 2 * cpus))
+        workers = min(cpus, len(head))
+        submit = lambda chunk: functools.partial(_scan, chunk, solver)
+        if workers > 1 and hasattr(os, "fork"):
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
+            fork = multiprocessing.get_context("fork")
+            pool = ProcessPoolExecutor(workers, fork, _inherited.append, (solver,))
+            # on leaving, drops the chunks not started and reaps the workers
+            stack.callback(pool.shutdown, cancel_futures=True)
+            submit = lambda chunk: pool.submit(_scan, chunk).result
+        # two chunks per worker in flight, their results read in draw order
+        window = deque(map(submit, head))
+        checked = 0
+        while window:
+            result = window.popleft()
+            window.extend(map(submit, itertools.islice(chunks, 1)))
+            ran, shortfall = result()
+            checked += ran
+            if shortfall is not None:
+                break
     if shortfall is None:
         return VerifyReport(True, mode, checked, None)
     S, T, got = shortfall

@@ -164,9 +164,7 @@ def _mask_to_labels(mask: int) -> tuple:
     return tuple(out)
 
 
-def sample_g(
-    n: int, d: int, delta, seed: int, *, disjoint: bool = False, within=None
-) -> BipartiteGraph | None:
+def sample_g(n: int, d: int, delta, seed: int, *, disjoint: bool = False) -> BipartiteGraph:
     """Overlay d seeded random permutations plus pinned edges (i, i) for
     i <= floor(delta*n).
 
@@ -180,10 +178,18 @@ def sample_g(
     permutations exist exactly when d <= n, or d <= n - 1 once an edge is
     pinned (the cyclic shifts attain both); other requests, and draws that
     exhaust the redraw cap, raise ValueError.  A plain draw stops once every
-    row is full, which no later permutation can change.  With ``within``,
-    per-row bitmasks, a plain draw returns None at its first permutation
-    edge outside them.
+    row is full, which no later permutation can change.
     """
+    g = BipartiteGraph.__new__(BipartiteGraph)
+    g.n = n
+    g.masks = _overlay(n, d, delta, seed, disjoint)
+    g.provenance = (seed, d, as_fraction(delta))
+    return g
+
+
+def _overlay(n: int, d: int, delta, seed: int, disjoint: bool, within=None) -> tuple | None:
+    """sample_g's rows; with ``within``, per-row bitmasks, a plain draw
+    returns None at its first permutation edge outside them."""
     if n < 1 or d < 1:
         raise ValueError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
     delta = as_fraction(delta)
@@ -218,12 +224,7 @@ def sample_g(
             return None
         for i, v in enumerate(perm):
             masks[i] |= 1 << (v - 1)
-
-    g = BipartiteGraph.__new__(BipartiteGraph)
-    g.n = n
-    g.masks = tuple(masks)
-    g.provenance = (seed, d, delta)
-    return g
+    return tuple(masks)
 
 
 def complete_bipartite(n: int) -> BipartiteGraph:
@@ -524,8 +525,7 @@ def graph_from_text(text: str) -> BipartiteGraph:
 def _is_sampled(g: BipartiteGraph) -> bool:
     """Whether sample_g, in plain or disjoint mode, draws g from its provenance."""
     seed, d, delta = g.provenance
-    plain = sample_g(g.n, d, delta, seed, within=g.masks)
-    if plain is not None and plain.masks == g.masks:
+    if _overlay(g.n, d, delta, seed, False, g.masks) == g.masks:
         return True
     try:
         return sample_g(g.n, d, delta, seed, disjoint=True).masks == g.masks

@@ -37,11 +37,12 @@ def gamma8_complete(seed=0):
     return build_gamma(8, BuildConfig(base_size=4, expanders={8: complete_bipartite(8)}))
 
 
-def _starved_gamma8():
-    """Γ(8) whose first two inputs keep one shared successor."""
+def _starved_gamma8(pair=(0, 1)):
+    """Γ(8) whose two inputs at the given positions keep one shared successor."""
     dag = gamma8_complete()
-    first = dag.successors()[dag.inputs[0]][0]
-    return dag.without_edges((u, v) for u, v in dag.edges if u in dag.inputs[:2] and v != first)
+    starved = [dag.inputs[i] for i in pair]
+    first = dag.successors()[starved[0]][0]
+    return dag.without_edges((u, v) for u, v in dag.edges if u in starved and v != first)
 
 
 # --- brute-force oracle: maximum family of node-disjoint paths --------------
@@ -455,12 +456,6 @@ def _cpus(monkeypatch, count):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
 
 
-@pytest.fixture
-def small_chunks(monkeypatch):
-    """16 queries per chunk on any dag, so small test graphs span many chunks."""
-    monkeypatch.setattr(construction, "_CHUNK_NODES", 0)
-
-
 def _late_failure_gamma80():
     # its first sampled shortfall comes after the first window of chunks
     dag = build_gamma(80, BuildConfig(seed=80))
@@ -469,17 +464,21 @@ def _late_failure_gamma80():
 
 FORK_CASES = {
     "exhaustive-starved": (_starved_gamma8, dict(mode="exhaustive")),
+    "exhaustive-late-failure": (lambda: _starved_gamma8((6, 7)), dict(mode="exhaustive")),
     "sampled-starved": (_starved_gamma8, dict(mode="sampled", trials=50, seed=4)),
     "sampled-late-failure": (_late_failure_gamma80, dict(mode="sampled", trials=200, seed=0)),
     **{
-        f"sampled-gamma40-seed{seed}": (lambda: build_gamma(40, _cfg()), dict(mode="sampled", trials=60, seed=seed))
+        f"sampled-gamma40-seed{seed}": (
+            lambda: build_gamma(40, _cfg()),
+            dict(mode="sampled", trials=60, seed=seed),
+        )
         for seed in range(4)
     },
 }
 
 
 @pytest.mark.parametrize("case", FORK_CASES)
-def test_forked_and_in_process_reports_agree(monkeypatch, pools, small_chunks, case):
+def test_forked_and_in_process_reports_agree(monkeypatch, pools, case):
     make, kwargs = FORK_CASES[case]
     dag = make()
     _cpus(monkeypatch, 2)
@@ -488,33 +487,28 @@ def test_forked_and_in_process_reports_agree(monkeypatch, pools, small_chunks, c
     in_process = verify_superconcentrator(dag, **kwargs)
     assert forked == in_process
     assert pools == [2]
+    # the late failures come after the first window of 16-query chunks;
+    # pinned to the serial scan and checked by node-split max flow
+    if case == "exhaustive-late-failure":
+        assert forked == VerifyReport(False, "exhaustive", 821, (2, (6, 7), (8, 9), 1))
     if case == "sampled-late-failure":
-        # past the first window of 16-query chunks; pinned to the serial scan
         k, S, T, achieved = forked.counterexample
         assert (forked.passed, forked.pairs_checked, k, achieved) == (False, 126, 80, 79)
-        assert _node_split_max_flow(dag, S, T) == achieved
-
-
-def test_forked_exhaustive_scan_checks_every_pair(monkeypatch, pools):
-    # the in-process report of this scan is pinned by the acceptance tests;
-    # its 12 869 queries go in chunks of 1 024
-    _cpus(monkeypatch, 2)
-    report = verify_superconcentrator(gamma8_complete(), mode="exhaustive")
-    assert report == VerifyReport(True, "exhaustive", math.comb(16, 8) - 1, None)
-    assert pools == [2]
+    if not forked.passed:
+        assert _node_split_max_flow(dag, *forked.counterexample[1:3]) == forked.counterexample[3]
 
 
 def test_one_chunk_runs_in_process(monkeypatch, pools):
     _cpus(monkeypatch, 2)
     dag = build_gamma(40, _cfg())
-    size = construction._CHUNK_NODES // dag.num_nodes
-    assert verify_superconcentrator(dag, mode="sampled", trials=size) == VerifyReport(True, "sampled", size, None)
+    report = verify_superconcentrator(dag, mode="sampled", trials=16)
+    assert report == VerifyReport(True, "sampled", 16, None)
     assert pools == []
-    assert verify_superconcentrator(dag, mode="sampled", trials=size + 1).pairs_checked == size + 1
+    assert verify_superconcentrator(dag, mode="sampled", trials=17).pairs_checked == 17
     assert pools == [2]
 
 
-def test_verification_reaps_its_workers(monkeypatch, pools, small_chunks):
+def test_verification_reaps_its_workers(monkeypatch, pools):
     import multiprocessing
 
     _cpus(monkeypatch, 2)
@@ -532,6 +526,30 @@ def test_verification_reaps_its_workers(monkeypatch, pools, small_chunks):
         verify_superconcentrator(dag, mode="sampled", trials=100)
     assert multiprocessing.active_children() == []
     assert pools == [2, 2, 2]
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="needs Linux /proc")
+def test_verification_forks_a_single_threaded_process(monkeypatch, pools):
+    # Python 3.12 and later warn (DeprecationWarning) when a process forks
+    # while /proc/self/stat counts more than one thread; this test makes the
+    # same count on any version at every fork verification makes
+    real_fork = os.fork
+    threads = []
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            with open("/proc/self/stat") as fh:
+                threads.append(int(fh.read().rsplit(")", 1)[1].split()[17]))
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    _cpus(monkeypatch, 2)
+    dag = build_gamma(40, _cfg())
+    for seed in range(2):
+        assert verify_superconcentrator(dag, mode="sampled", trials=60, seed=seed).passed
+    assert pools == [2, 2]
+    assert threads == [1, 1, 1, 1]
 
 
 # --- serialization and manifest ----------------------------------------------

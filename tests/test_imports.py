@@ -92,9 +92,9 @@ def test_light_command_loads_no_heavy_library(argv):
 
 
 def test_construction_import_and_build_load_no_process_pool(tmp_path):
-    assert _loaded_after("import superconc.construction", POOL) == []
+    # one interpreter imports the module, then builds a dag
     build = ["build-sc", "--n", "40", "--output", str(tmp_path / "g.json")]
-    assert _loaded_after(_quiet_main(build), POOL) == []
+    assert _loaded_after("import superconc.construction\n" + _quiet_main(build), POOL) == []
 
 
 def test_heavy_modules_load_their_libraries_at_import(tmp_path):

@@ -170,11 +170,11 @@ def test_plain_sample_g_stops_once_every_row_is_full():
     assert g.provenance == (2, 10**8, 0)
 
 
-def test_sample_g_within_stops_at_the_first_edge_outside():
+def test_plain_overlay_within_rows_stops_at_the_first_edge_outside():
     g = sample_g(12, 3, "1/4", 4)
-    assert sample_g(12, 3, "1/4", 4, within=g.masks) == g
-    assert sample_g(12, 4, "1/4", 4, within=g.masks) is None
-    assert sample_g(12, 10**8, "1/4", 4, within=g.masks) is None
+    assert randgraph._overlay(12, 3, "1/4", 4, False, g.masks) == g.masks
+    assert randgraph._overlay(12, 4, "1/4", 4, False, g.masks) is None
+    assert randgraph._overlay(12, 10**8, "1/4", 4, False, g.masks) is None
 
 
 @pytest.mark.parametrize("rows, n", [("full", 20), ("sampled", 20), ("sampled", 600)])
