@@ -24,6 +24,10 @@ import importlib
 # whichever module imports the submodule first; it needs only math.
 from .entropy import entropy
 
+# Default cap on the subsets an exhaustive scan may enumerate.  It lives here
+# so that the command line can show it without importing `randgraph`.
+DEFAULT_BUDGET = 1_000_000
+
 # Public names by submodule.  They load on first access (PEP 562), so that
 # `import superconc` and the commands that need no numpy, scipy or mpmath
 # never import them.

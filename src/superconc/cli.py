@@ -13,10 +13,8 @@ import math
 import sys
 from pathlib import Path
 
-# certifier loads numpy, and a flow query in construction numpy and
-# scipy.sparse; only the commands that use them import them.
-from . import probability, profiles, randgraph
-from .entropy import stirling_gap
+# Each command imports the package modules it runs, so that a cold start
+# loads only those: certifier loads numpy, and a flow query numpy and scipy.
 
 _USAGE_ERROR = 2
 _CHECK_FAILED = 1
@@ -75,7 +73,7 @@ def _cmd_certify_pair(args) -> int:
 
 
 def _cmd_certify_expansion(args) -> int:
-    from . import certifier
+    from . import certifier, profiles
 
     constants = profiles.ProfileConstants.from_c1_c3(args.c1, args.c3, d=args.d, delta=args.delta)
     c1, c3, c5 = float(constants.c1), float(constants.c3), float(constants.c5)
@@ -88,6 +86,8 @@ def _cmd_certify_expansion(args) -> int:
 
 
 def _cmd_check_conditions(args) -> int:
+    from . import profiles
+
     constants = profiles.ProfileConstants.from_c1_c3(args.c1, args.c3, d=args.d, delta=args.delta)
     report = profiles.check_conditions(constants, gamma=args.gamma, eps1=args.eps1)
     rows = [f"  [{'ok ' if c.passed else 'BAD'}] {c.name:<22} slack {c.slack:+.9f}  {c.detail}"
@@ -96,6 +96,8 @@ def _cmd_check_conditions(args) -> int:
 
 
 def _cmd_sample_expander(args) -> int:
+    from . import randgraph
+
     g = randgraph.sample_g(args.n, args.d, args.delta, args.seed, disjoint=args.disjoint)
     text = randgraph.graph_to_text(g)
     if args.output:
@@ -109,12 +111,16 @@ def _cmd_sample_expander(args) -> int:
 
 
 def _cmd_check_expansion(args) -> int:
+    from . import profiles, randgraph
+
     if args.k_max < 1:
         raise ValueError(f"--k-max must be >= 1, got {args.k_max}")
     if args.graph:
         g = randgraph.graph_from_text(Path(args.graph).read_text())
     else:
         g = randgraph.sample_g(args.n, args.d, args.delta, args.seed, disjoint=args.disjoint)
+    if args.k_max > g.n:
+        raise ValueError(f"--k-max must be <= the graph's n = {g.n}, got {args.k_max}")
     if args.profile:
         profile = profiles.PiecewiseLinear.from_text(Path(args.profile).read_text())
     else:
@@ -129,7 +135,7 @@ def _cmd_check_expansion(args) -> int:
 
 
 def _cmd_build_sc(args) -> int:
-    from . import construction
+    from . import construction, profiles, randgraph
 
     cfg = construction.BuildConfig(
         base_size=args.base, d=args.d, delta=profiles.as_fraction(args.delta), seed=args.seed,
@@ -172,6 +178,8 @@ def _cmd_verify_sc(args) -> int:
 
 
 def _cmd_prob_bound(args) -> int:
+    from . import probability
+
     fn = probability.pair_fail_bound if args.kind == "pair" else probability.expansion_fail_bound
     bound = fn(args.n, args.d, args.delta, args.k, args.m)
     exact = None if bound.exact is None else f"{bound.exact.numerator}/{bound.exact.denominator}"
@@ -182,6 +190,8 @@ def _cmd_prob_bound(args) -> int:
 
 
 def _cmd_exact_plr(args) -> int:
+    from . import probability
+
     value = probability.exact_plr(args.n, args.ell, args.r, args.d)
     exact = f"{value.numerator}/{value.denominator}"
     _write_report(args, {"exact": exact, "float": float(value)}, args.output)
@@ -190,6 +200,8 @@ def _cmd_exact_plr(args) -> int:
 
 
 def _cmd_mc_plr(args) -> int:
+    from . import probability
+
     est, stderr = probability.montecarlo_plr(args.n, args.ell, args.r, args.d, args.trials, args.seed)
     _write_report(args, {"estimate": est, "stderr": stderr, "trials": args.trials}, args.output)
     print(f"{est:.6f} {stderr:.6f}")
@@ -197,6 +209,8 @@ def _cmd_mc_plr(args) -> int:
 
 
 def _cmd_stirling_scan(args) -> int:
+    from .entropy import stirling_gap
+
     # the threshold 2 ln(n)/n is 0 at n = 1, so no gap could pass there
     if min(args.n) < 2:
         raise ValueError(f"--n must be >= 2, got {min(args.n)}")
@@ -265,6 +279,8 @@ def _plr_options(sub) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from . import DEFAULT_BUDGET
+
     parser = argparse.ArgumentParser(
         prog="superconc",
         description="Superconcentrator toolkit: sampling, construction, "
@@ -301,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
                    "exhaustively check expansion for small sizes")
     sub.add_argument("--graph", help="graph text file (default: sample one)")
     _model_options(sub, default=20)
-    _seed_options(sub, randgraph.DEFAULT_BUDGET, disjoint=True)
+    _seed_options(sub, DEFAULT_BUDGET, disjoint=True)
     sub.add_argument("--k-max", type=int, default=5)
     sub.add_argument("--profile", help="profile text file (default: density-25.3 profile)")
     sub.add_argument("--pairs", action="store_true", help="also check pair-expansion")
@@ -325,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--graph", required=True, help="graph JSON written by build-sc --output")
     sub.add_argument("--mode", choices=["exhaustive", "sampled"], default="sampled")
     sub.add_argument("--trials", type=int, default=500)
-    _seed_options(sub, randgraph.DEFAULT_BUDGET)
+    _seed_options(sub, DEFAULT_BUDGET)
 
     sub = _command(subs, "prob-bound", _cmd_prob_bound,
                    "union bound on an expansion failure probability")
@@ -350,7 +366,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (randgraph.EnumerationBudgetError, ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _USAGE_ERROR
 

@@ -23,7 +23,7 @@ import itertools
 import json
 import math
 import os
-from collections import Counter, deque
+from collections import Counter, deque, namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -463,12 +463,10 @@ def max_disjoint_paths(dag: SuperDag, S, T) -> int:
     return _PathCounter(dag).query(S, T)
 
 
-@dataclass(frozen=True)
-class VerifyReport:
-    passed: bool
-    mode: str
-    pairs_checked: int
-    counterexample: tuple | None  # (k, S, T, achieved)
+class VerifyReport(namedtuple("VerifyReport", "passed mode pairs_checked counterexample")):
+    """``counterexample`` is (k, S, T, achieved), or None when all passed."""
+
+    __slots__ = ()
 
     def as_dict(self) -> dict:
         ce = self.counterexample

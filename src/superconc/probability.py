@@ -14,12 +14,14 @@ import io
 import csv as _csv
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .entropy import log_binomial
 from .profiles import as_fraction
-from .randgraph import derive_seed, min_expansion, sample_g
+
+# randgraph, and hashlib with it, is imported by the two oracles that sample,
+# so the exact and union-bound commands start without it.
 
 __all__ = [
     "EXACT_LIMIT",
@@ -60,14 +62,11 @@ def _logsumexp(terms) -> float:
     return peak + math.log(sum(math.exp(t - peak) for t in terms))
 
 
-@dataclass(frozen=True)
-class BoundValue:
+class BoundValue(namedtuple("BoundValue", "log_value exact regime")):
     """A probability bound, as a natural log plus the exact rational when the
-    instance was small enough to afford one."""
+    instance was small enough to afford one; ``regime`` is "exact" or "log"."""
 
-    log_value: float
-    exact: Fraction | None
-    regime: str  # "exact" or "log"
+    __slots__ = ()
 
     @property
     def value(self) -> float:
@@ -270,6 +269,8 @@ def montecarlo_plr(n: int, ell: int, r: int, d: int, trials: int, seed: int):
     a Floyd subset draw.  All trials take consecutive draws from the one
     substream keyed by ``seed``.
     """
+    from .randgraph import derive_seed
+
     _check_plr_args(n, ell, r, d)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -291,6 +292,8 @@ def empirical_expansion_failure(
 ):
     """Frequency, over seeded graph samples, of some k-subset having fewer
     than m neighbors.  Returns (frequency, failures, samples)."""
+    from .randgraph import derive_seed, min_expansion, sample_g
+
     failures = 0
     for s in range(samples):
         g = sample_g(N, d, delta, derive_seed("emp-exp", seed, s))

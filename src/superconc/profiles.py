@@ -11,7 +11,7 @@ from __future__ import annotations
 import decimal
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 __all__ = [
@@ -39,8 +39,7 @@ def as_fraction(x) -> Fraction:
         raise ValueError(f"{x!r} is not a finite rational") from None
 
 
-@dataclass(frozen=True)
-class PiecewiseLinear:
+class PiecewiseLinear(namedtuple("PiecewiseLinear", "breakpoints")):
     """Piecewise-linear function given by breakpoints with strictly increasing x.
 
     Evaluation interpolates linearly between breakpoints and is defined exactly
@@ -48,16 +47,16 @@ class PiecewiseLinear:
     are rationals.
     """
 
-    breakpoints: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        pts = tuple((p[0], p[1]) for p in self.breakpoints)
+    def __new__(cls, breakpoints):
+        pts = tuple((p[0], p[1]) for p in breakpoints)
         if len(pts) < 2:
             raise ValueError("need at least two breakpoints")
         xs = [p[0] for p in pts]
-        if any(a >= b for a, b in zip(xs, xs[1:])) :
+        if any(a >= b for a, b in zip(xs, xs[1:])):
             raise ValueError(f"breakpoint x-coordinates must strictly increase: {xs}")
-        object.__setattr__(self, "breakpoints", pts)
+        return super().__new__(cls, pts)
 
     @property
     def domain(self):
@@ -111,30 +110,23 @@ class PiecewiseLinear:
         return cls(tuple(pts))
 
 
-@dataclass(frozen=True)
-class ProfileConstants:
+class ProfileConstants(namedtuple("ProfileConstants", "c1 c2 c3 c4 c5 c6 d delta")):
     """The six anchor constants of the expansion profile, plus the average
-    degree d (possibly fractional) and the pinned-edge fraction delta."""
+    degree d (possibly fractional) and the pinned-edge fraction delta, each
+    an exact Fraction."""
 
-    c1: Fraction
-    c2: Fraction
-    c3: Fraction
-    c4: Fraction
-    c5: Fraction
-    c6: Fraction
-    d: Fraction
-    delta: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("c1", "c2", "c3", "c4", "c5", "c6"):
-            object.__setattr__(self, name, as_fraction(getattr(self, name)))
-            v = getattr(self, name)
-            if not 0 < v < 1:
-                raise ValueError(f"{name}={v} must lie in (0, 1)")
-        object.__setattr__(self, "d", as_fraction(self.d))
-        object.__setattr__(self, "delta", as_fraction(self.delta))
-        if not 0 <= self.delta <= 1:
-            raise ValueError(f"delta={self.delta} must lie in [0, 1]")
+    def __new__(cls, c1, c2, c3, c4, c5, c6, d, delta):
+        anchors = []
+        for i, v in enumerate((c1, c2, c3, c4, c5, c6), start=1):
+            anchors.append(as_fraction(v))
+            if not 0 < anchors[-1] < 1:
+                raise ValueError(f"c{i}={anchors[-1]} must lie in (0, 1)")
+        d, delta = as_fraction(d), as_fraction(delta)
+        if not 0 <= delta <= 1:
+            raise ValueError(f"delta={delta} must lie in [0, 1]")
+        return super().__new__(cls, *anchors, d, delta)
 
     @classmethod
     def from_c1_c3(cls, c1, c3, d, delta) -> "ProfileConstants":
@@ -179,17 +171,13 @@ def overlap_profile(c: ProfileConstants) -> PiecewiseLinear:
     return PiecewiseLinear(((c.c3, c.c3 - c.c1), (c.c5, c.c5 - c.c1), (one, one)))
 
 
-@dataclass(frozen=True)
-class ConditionCheck:
-    name: str
-    passed: bool
-    slack: float
-    detail: str = ""
+ConditionCheck = namedtuple("ConditionCheck", "name passed slack detail", defaults=("",))
 
 
-@dataclass(frozen=True)
-class ConditionReport:
-    checks: tuple
+class ConditionReport(namedtuple("ConditionReport", "checks")):
+    """The checks in order; ``report[name]`` looks one up by its name."""
+
+    __slots__ = ()
 
     @property
     def all_pass(self) -> bool:

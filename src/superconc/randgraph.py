@@ -22,10 +22,11 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import Iterable
 
+from . import DEFAULT_BUDGET
 from .profiles import PiecewiseLinear, as_fraction
 
 __all__ = [
@@ -51,12 +52,11 @@ __all__ = [
 ]
 
 EXPLICIT = "explicit"
-DEFAULT_BUDGET = 1_000_000
 
 _MAX_RESAMPLE = 1_000_000
 
 
-class EnumerationBudgetError(RuntimeError):
+class EnumerationBudgetError(ValueError):
     """An exhaustive scan would exceed its configured budget."""
 
     def __init__(self, what: str, count: int, budget: int):
@@ -384,26 +384,18 @@ def _descend(g: BipartiteGraph, S: list[int]):
         members[victim_idx] = candidate
 
 
-@dataclass(frozen=True)
-class SubsetCheckEntry:
-    k: int
-    required: int
-    achieved: int
-    witness: tuple
+SubsetCheckEntry = namedtuple("SubsetCheckEntry", "k required achieved witness")
 
 
-@dataclass(frozen=True)
-class SubsetCheckReport:
+class SubsetCheckReport(namedtuple("SubsetCheckReport", "kind truncated_at entries")):
     """Outcome of sweeping subset sizes against a requirement.
 
     ``complete`` is False when the enumeration budget cut the sweep short at
-    size ``truncated_at``; ``passed`` then only speaks for the sizes actually
-    checked.
+    size ``truncated_at`` (None otherwise); ``passed`` then only speaks for
+    the sizes actually checked.
     """
 
-    kind: str
-    truncated_at: int | None
-    entries: tuple
+    __slots__ = ()
 
     @property
     def first_failure(self) -> SubsetCheckEntry | None:

@@ -162,6 +162,9 @@ def test_check_expansion_on_explicit_graph(tmp_path, capsys):
     rc = main(["check-expansion", "--graph", str(path), "--k-max", "4", "--pairs"])
     assert rc == 0
     assert "PASS" in capsys.readouterr().out
+    # the n of a graph file bounds --k-max, as --n does for a sampled graph
+    assert main(["check-expansion", "--graph", str(path), "--k-max", "11"]) == 2
+    assert "--k-max must be <= the graph's n = 10, got 11" in capsys.readouterr().err
 
 
 def test_check_expansion_flags_a_truncated_pair_sweep(tmp_path, capsys):
@@ -297,6 +300,8 @@ def test_verify_exhaustive_budget_refusal(tmp_path, capsys):
         # a budget below C(n, 1) = n stops each sweep before its first size
         (["check-expansion", "--n", "20", "--budget", "19"], "C(20,1) size-1 subsets needs 20"),
         (["build-sc", "--n", "40", "--budget", "0"], "C(40,1) size-1 subsets needs 40"),
+        # the profile is read at k/n, so a k above n was an out-of-domain error
+        (["check-expansion", "--n", "2", "--k-max", "3"], "--k-max must be <= the graph's n = 2, got 3"),
     ],
 )
 def test_vacuous_check_counts_exit_two(tmp_path, capsys, argv, message):

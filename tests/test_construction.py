@@ -632,3 +632,17 @@ def test_build_leaves_caller_config_unchanged():
     dag = build_gamma(40, cfg)
     assert type(cfg.delta) is float and cfg.delta == 0.325
     assert dag.to_json() == build_gamma(40, _cfg(delta=Fraction(13, 40))).to_json()
+
+
+def test_verify_report_keeps_its_repr_fields_and_immutability():
+    # the repr is the one the frozen dataclass printed
+    report = VerifyReport(passed=False, mode="sampled", pairs_checked=7,
+                          counterexample=(2, (0, 1), (5, 6), 1))
+    assert repr(report) == (
+        "VerifyReport(passed=False, mode='sampled', pairs_checked=7, "
+        "counterexample=(2, (0, 1), (5, 6), 1))"
+    )
+    assert report == VerifyReport(False, "sampled", 7, (2, (0, 1), (5, 6), 1))
+    assert report.as_dict()["counterexample"] == {"k": 2, "S": [0, 1], "T": [5, 6], "achieved": 1}
+    with pytest.raises(AttributeError):
+        report.passed = True

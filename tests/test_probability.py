@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superconc.probability import (
+    BoundValue,
     _floyd_mask,
     alpha_coefficients,
     bassalygo_bound,
@@ -367,3 +368,13 @@ def test_plr_table_layout():
 def test_plr_table_without_trials_leaves_mc_blank():
     text = plr_table([(6, 2, 3, 2)])
     assert text.strip().splitlines()[1].endswith(",,")
+
+
+def test_bound_value_keeps_its_repr_fields_and_immutability():
+    # the repr is the one the frozen dataclass printed
+    bound = BoundValue(log_value=-1.5, exact=Fraction(1, 4), regime="exact")
+    assert repr(bound) == "BoundValue(log_value=-1.5, exact=Fraction(1, 4), regime='exact')"
+    assert bound == BoundValue(-1.5, Fraction(1, 4), "exact")
+    assert bound.value == math.exp(-1.5)
+    with pytest.raises(AttributeError):
+        bound.regime = "log"

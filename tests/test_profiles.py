@@ -3,6 +3,8 @@ from fractions import Fraction
 import pytest
 
 from superconc.profiles import (
+    ConditionCheck,
+    ConditionReport,
     PiecewiseLinear,
     ProfileConstants,
     alon_capalbo_profile,
@@ -141,6 +143,55 @@ def test_breakpoints_must_strictly_increase():
         PiecewiseLinear(((0, 0), (0, 1)))
     with pytest.raises(ValueError):
         PiecewiseLinear(((1, 0),))
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: PiecewiseLinear(((0, 0), (0, 1))),
+         "breakpoint x-coordinates must strictly increase: [0, 0]"),
+        (lambda: PiecewiseLinear(((1, 0),)), "need at least two breakpoints"),
+        (lambda: ProfileConstants.from_c1_c3("0.5", "0.5", d=5, delta=0), "c2=0 must lie in (0, 1)"),
+        (lambda: ProfileConstants.from_c1_c3("0.2", "0.3", d=5, delta=2), "delta=2 must lie in [0, 1]"),
+        # each anchor is read and range-checked before the next one is read
+        (lambda: ProfileConstants(2, "1/0", *[Fraction(1, 2)] * 4, 5, 0), "c1=2 must lie in (0, 1)"),
+    ],
+)
+def test_records_refuse_bad_values_with_their_messages(make, message):
+    with pytest.raises(ValueError) as err:
+        make()
+    assert str(err.value) == message
+
+
+def test_profile_records_keep_their_reprs_fields_and_immutability():
+    # the reprs are those the frozen dataclasses printed
+    half = (Fraction(1, 2), Fraction(3, 4))
+    profile = PiecewiseLinear(breakpoints=[(0, 0), list(half), (1, 1)])
+    assert repr(profile) == (
+        "PiecewiseLinear(breakpoints=((0, 0), (Fraction(1, 2), Fraction(3, 4)), (1, 1)))"
+    )
+    assert profile == PiecewiseLinear(((0, 0), half, (1, 1)))
+    assert repr(C) == (
+        "ProfileConstants(c1=Fraction(2301, 10000), c2=Fraction(4377, 10000), "
+        "c3=Fraction(1661, 5000), c4=Fraction(5623, 10000), c5=Fraction(4377, 10000), "
+        "c6=Fraction(3339, 5000), d=Fraction(213, 40), delta=Fraction(13, 40))"
+    )
+    assert ProfileConstants(c1="0.2301", c2="0.4377", c3="0.3322", c4="0.5623", c5="0.4377",
+                            c6="0.6678", d="5.325", delta="0.325") == C
+    ok = ConditionCheck(name="c2+c4>=1", passed=True, slack=0.0)
+    assert repr(ok) == "ConditionCheck(name='c2+c4>=1', passed=True, slack=0.0, detail='')"
+    report = ConditionReport(checks=(ok, ConditionCheck("final-slope<1", False, -0.25, "slope 5/4")))
+    assert repr(report) == (
+        "ConditionReport(checks=(ConditionCheck(name='c2+c4>=1', passed=True, slack=0.0, "
+        "detail=''), ConditionCheck(name='final-slope<1', passed=False, slack=-0.25, "
+        "detail='slope 5/4')))"
+    )
+    assert report["final-slope<1"].detail == "slope 5/4" and not report.all_pass
+    with pytest.raises(KeyError):
+        report["c1<c3<c5"]
+    for record, field in [(profile, "breakpoints"), (C, "d"), (ok, "passed"), (report, "checks")]:
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
 
 
 def test_text_round_trip():

@@ -496,3 +496,19 @@ def test_text_rejects_trailing_text_and_false_provenance():
     assert header == "10 3 3/10 21"
     with pytest.raises(ValueError, match="rows differ"):
         graph_from_text("10 3 3/10 22\n" + rows)
+
+
+def test_subset_check_records_keep_their_reprs_fields_and_immutability():
+    # the reprs are those the frozen dataclasses printed
+    entry = SubsetCheckEntry(k=2, required=3, achieved=2, witness=(1, 4))
+    assert repr(entry) == "SubsetCheckEntry(k=2, required=3, achieved=2, witness=(1, 4))"
+    report = SubsetCheckReport(kind="expansion", truncated_at=3, entries=(entry,))
+    assert repr(report) == (
+        "SubsetCheckReport(kind='expansion', truncated_at=3, entries=(SubsetCheckEntry(k=2, "
+        "required=3, achieved=2, witness=(1, 4)),))"
+    )
+    assert report == SubsetCheckReport("expansion", 3, (SubsetCheckEntry(2, 3, 2, (1, 4)),))
+    assert report.first_failure is entry and not report.passed and not report.complete
+    for record, field in [(entry, "achieved"), (report, "truncated_at")]:
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
