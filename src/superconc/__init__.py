@@ -22,11 +22,24 @@ import importlib
 # `entropy` names both a submodule and its function.  Binding the function
 # here, as the eager imports did, keeps `superconc.entropy` the function
 # whichever module imports the submodule first; it needs only math.
-from .entropy import entropy
+from .entropy import entropy  # noqa: F401
 
 # Default cap on the subsets an exhaustive scan may enumerate.  It lives here
 # so that the command line can show it without importing `randgraph`.
 DEFAULT_BUDGET = 1_000_000
+
+
+def derive_seed(*parts) -> int:
+    """Stable 64-bit substream seed from a tuple of labels (SHA-256 based).
+
+    Keying substreams this way keeps every sampled object reproducible and
+    independent of evaluation order.  It lives here, importing hashlib when
+    first called, so that `mc-plr` seeds its stream without `randgraph`.
+    """
+    import hashlib
+
+    text = ":".join(str(p) for p in parts)
+    return int.from_bytes(hashlib.sha256(text.encode("utf-8")).digest()[:8], "big")
 
 # Public names by submodule.  They load on first access (PEP 562), so that
 # `import superconc` and the commands that need no numpy, scipy or mpmath

@@ -34,7 +34,7 @@ import contextlib
 import csv
 import math
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -122,23 +122,19 @@ _ROUNDINGS = 16
 _GAMMA = 2 * _ROUNDINGS * U / (1 - _ROUNDINGS * U)
 
 
-@dataclass
-class CertReport:
-    """Outcome of one certification run."""
+class CertReport(namedtuple(
+    "CertReport", "lemma params grid margin min_slack argmin_cell corners_evaluated cells_checked "
+    "failing_cells failing_count error_bound runtime_seconds recheck", defaults=(None,),
+)):
+    """Outcome of one certification run.
 
-    lemma: str
-    params: dict
-    grid: int
-    margin: float
-    min_slack: float
-    argmin_cell: tuple  # (interval index, x cell index, y cell index)
-    corners_evaluated: int
-    cells_checked: int
-    failing_cells: list  # [(interval, i, j, slack)], ascending, capped
-    failing_count: int
-    error_bound: float  # largest bound on the rounding of a leaf's slack
-    runtime_seconds: float
-    recheck: dict | None = None
+    ``argmin_cell`` is (interval index, x cell index, y cell index),
+    ``failing_cells`` the [(interval, i, j, slack)] below the margin,
+    ascending and capped, and ``error_bound`` the largest bound on the
+    rounding of a leaf's slack.
+    """
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

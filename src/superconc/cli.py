@@ -137,14 +137,16 @@ def _cmd_check_expansion(args) -> int:
 def _cmd_build_sc(args) -> int:
     from . import construction, profiles, randgraph
 
-    cfg = construction.BuildConfig(
-        base_size=args.base, d=args.d, delta=profiles.as_fraction(args.delta), seed=args.seed,
-        retry_limit=args.retries, check_k_max=args.check_k_max, check_budget=args.budget,
-    )
+    expanders = None
     if args.expander == "complete":
         # the level sizes n, n/2, ... above the base; build_gamma rejects a bad n or base
         halvings = (args.n >> t for t in range(args.n.bit_length()))
-        cfg.expanders = {m: randgraph.complete_bipartite(m) for m in halvings if m > args.base}
+        expanders = {m: randgraph.complete_bipartite(m) for m in halvings if m > args.base}
+    cfg = construction.BuildConfig(
+        base_size=args.base, d=args.d, delta=profiles.as_fraction(args.delta), seed=args.seed,
+        retry_limit=args.retries, check_k_max=args.check_k_max, check_budget=args.budget,
+        expanders=expanders,
+    )
     try:
         dag = construction.build_gamma(args.n, cfg)
     except construction.BuildError as exc:

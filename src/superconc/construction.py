@@ -24,7 +24,6 @@ import json
 import math
 import os
 from collections import Counter, deque, namedtuple
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .profiles import density253_constants, expansion_profile
@@ -57,8 +56,10 @@ class BuildError(RuntimeError):
         self.last_failure = last_failure
 
 
-@dataclass
-class BuildConfig:
+class BuildConfig(namedtuple(
+    "BuildConfig", "base_size d delta seed retry_limit check_k_max check_budget expanders",
+    defaults=(20, 5, Fraction(13, 40), 0, 8, 2, 200_000, None),
+)):
     """Knobs of the recursive build.
 
     ``expanders`` switches from seeded sampling to explicit graphs: a mapping
@@ -72,14 +73,7 @@ class BuildConfig:
     EnumerationBudgetError, since no size would be checked.
     """
 
-    base_size: int = 20
-    d: int = 5
-    delta: Fraction = Fraction(13, 40)
-    seed: int = 0
-    retry_limit: int = 8
-    check_k_max: int = 2
-    check_budget: int = 200_000
-    expanders: dict | None = None
+    __slots__ = ()
 
 
 class SuperDag:
@@ -99,7 +93,6 @@ class SuperDag:
         self.inputs: list[int] = []
         self.outputs: list[int] = []
         self.level_records: list[dict] = []
-        self._edge_set: set | None = None
 
     @property
     def num_nodes(self) -> int:
@@ -119,12 +112,7 @@ class SuperDag:
         return v
 
     def add_edge(self, u: int, v: int) -> None:
-        if self._edge_set is None:
-            self._edge_set = set(self.edges)
-        if (u, v) in self._edge_set:
-            raise ValueError(f"duplicate edge ({u}, {v})")
         self.edges.append((u, v))
-        self._edge_set.add((u, v))
 
     def edge_count(self) -> int:
         return len(self.edges)
@@ -156,6 +144,24 @@ class SuperDag:
         if len(order) != self.num_nodes:
             raise ValueError("graph contains a cycle")
         return order
+
+    def check(self) -> None:
+        """Raise ValueError unless this is a graph the verifier can trust:
+        every input, output and edge end an int node id in range, input and
+        output lists that hold exactly the ids of those roles, no repeated
+        edge and no cycle.  The path counter is right only on such a graph."""
+        nv = self.num_nodes
+        ends = itertools.chain(self.inputs, self.outputs, itertools.chain.from_iterable(self.edges))
+        bad = [v for v in ends if type(v) is not int or not 0 <= v < nv]
+        if bad:
+            raise ValueError(f"node id {bad[0]!r} outside 0..{nv - 1}")
+        for key, role in (("inputs", "input"), ("outputs", "output")):
+            if sorted(getattr(self, key)) != [v for v, r in enumerate(self.roles) if r == role]:
+                raise ValueError(f"{key} list disagrees with the node roles")
+        if len(set(self.edges)) != len(self.edges):
+            dup = next(e for e, count in Counter(self.edges).items() if count > 1)
+            raise ValueError(f"duplicate edge {dup}")
+        self.topological_order()  # raises on a cycle
 
     def without_edges(self, drop) -> "SuperDag":
         """Copy of the graph with the given edges removed (for fault injection)."""
@@ -197,10 +203,10 @@ class SuperDag:
     def from_json(cls, text: str) -> "SuperDag":
         """Parse the output of :meth:`to_json`.
 
-        Raises ValueError unless the file describes a graph the verifier can
-        trust: object node records with known roles, integer levels and
-        label lists, object level records, node ids in range, input and
-        output lists that match the roles, no duplicate edges and no cycle.
+        Raises ValueError unless the file holds object node records with
+        known roles, integer levels and label lists, object level records
+        and edges given as pairs, and the graph they describe passes
+        :meth:`check`.
         """
         payload = json.loads(text)
         keys = ("nodes", "edges", "inputs", "outputs", "levels")
@@ -219,28 +225,13 @@ class SuperDag:
         for record in payload["levels"]:
             if not isinstance(record, dict):
                 raise ValueError(f"level record {record!r} is not an object")
-
-        def check_ids(ids):
-            nv = dag.num_nodes
-            bad = [v for v in ids if type(v) is not int or not 0 <= v < nv]
-            if bad:
-                raise ValueError(f"node id {bad[0]!r} outside 0..{nv - 1}")
-
-        # add_node listed the inputs and outputs by role in id order; the
-        # file's lists must hold the same ids, in the order the file gives
-        for key, by_role in (("inputs", dag.inputs), ("outputs", dag.outputs)):
-            check_ids(payload[key])
-            if sorted(payload[key]) != by_role:
-                raise ValueError(f"{key} list disagrees with the node roles")
-            by_role[:] = payload[key]
         if not all(type(edge) is list and len(edge) == 2 for edge in payload["edges"]):
             raise ValueError("edges must be pairs of node ids")
-        check_ids(itertools.chain.from_iterable(payload["edges"]))
+        # the file's input and output lists, in the order it gives them
+        dag.inputs = payload["inputs"]
+        dag.outputs = payload["outputs"]
         dag.edges = list(map(tuple, payload["edges"]))
-        if len(set(dag.edges)) != len(dag.edges):
-            dup = next(e for e, count in Counter(dag.edges).items() if count > 1)
-            raise ValueError(f"duplicate edge {dup}")
-        dag.topological_order()  # raises on a cycle
+        dag.check()
         dag.level_records = payload["levels"]
         return dag
 
@@ -325,7 +316,7 @@ def build_gamma(n: int, cfg: BuildConfig | None = None) -> SuperDag:
     X = [dag.add_node("input", 0, ("X", i)) for i in range(1, n + 1)]
     Y = [dag.add_node("output", 0, ("Y", i)) for i in range(1, n + 1)]
     _build_level(dag, cfg, X, Y, 0)
-    dag.topological_order()  # acyclicity is part of the build contract
+    dag.check()
     return dag
 
 

@@ -17,11 +17,12 @@ import random
 from collections import namedtuple
 from fractions import Fraction
 
+from . import derive_seed
 from .entropy import log_binomial
 from .profiles import as_fraction
 
-# randgraph, and hashlib with it, is imported by the two oracles that sample,
-# so the exact and union-bound commands start without it.
+# Only empirical_expansion_failure, which samples whole graphs, imports
+# randgraph, so `exact-plr`, `prob-bound` and `mc-plr` start without it.
 
 __all__ = [
     "EXACT_LIMIT",
@@ -269,8 +270,6 @@ def montecarlo_plr(n: int, ell: int, r: int, d: int, trials: int, seed: int):
     a Floyd subset draw.  All trials take consecutive draws from the one
     substream keyed by ``seed``.
     """
-    from .randgraph import derive_seed
-
     _check_plr_args(n, ell, r, d)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -292,7 +291,7 @@ def empirical_expansion_failure(
 ):
     """Frequency, over seeded graph samples, of some k-subset having fewer
     than m neighbors.  Returns (frequency, failures, samples)."""
-    from .randgraph import derive_seed, min_expansion, sample_g
+    from .randgraph import min_expansion, sample_g
 
     failures = 0
     for s in range(samples):

@@ -19,14 +19,13 @@ this mode to keep edge counts exact.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import random
 from collections import namedtuple
 from fractions import Fraction
 from typing import Iterable
 
-from . import DEFAULT_BUDGET
+from . import DEFAULT_BUDGET, derive_seed
 from .profiles import PiecewiseLinear, as_fraction
 
 __all__ = [
@@ -64,19 +63,6 @@ class EnumerationBudgetError(ValueError):
             f"{what} needs {count} evaluations, over the budget of {budget}; "
             "use a sampled variant instead"
         )
-        self.what = what
-        self.count = count
-        self.budget = budget
-
-
-def derive_seed(*parts) -> int:
-    """Stable 64-bit substream seed from a tuple of labels (SHA-256 based).
-
-    Keying substreams this way keeps every sampled object reproducible and
-    independent of evaluation order.
-    """
-    text = ":".join(str(p) for p in parts)
-    return int.from_bytes(hashlib.sha256(text.encode("utf-8")).digest()[:8], "big")
 
 
 def _fisher_yates(getrandbits, n: int, taken: list | None = None) -> list[int] | None:

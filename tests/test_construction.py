@@ -4,6 +4,7 @@ import json
 import math
 import os
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -194,12 +195,40 @@ def test_cycle_detection():
 
 
 def test_duplicate_edge_rejected():
+    # add_edge appends; check() is where a repeated edge is refused
     dag = SuperDag()
     a = dag.add_node("input", 0, ("A",))
     b = dag.add_node("output", 0, ("B",))
     dag.add_edge(a, b)
+    dag.add_edge(a, b)
     with pytest.raises(ValueError):
-        dag.add_edge(a, b)
+        dag.check()
+
+
+def _two_node_dag(*edges, inputs=None):
+    dag = SuperDag()
+    dag.add_node("input", 0, ("A",))
+    dag.add_node("output", 0, ("B",))
+    for u, v in edges:
+        dag.add_edge(u, v)
+    if inputs is not None:
+        dag.inputs = inputs
+    return dag
+
+
+@pytest.mark.parametrize(
+    "dag, message",
+    [
+        (_two_node_dag((0, 99)), "node id 99 outside 0..1"),
+        (_two_node_dag((0, 1), (0, 1)), "duplicate edge (0, 1)"),
+        (_two_node_dag((0, 1), (1, 0)), "graph contains a cycle"),
+        (_two_node_dag((0, 1), inputs=[1]), "inputs list disagrees with the node roles"),
+    ],
+    ids=["id-out-of-range", "duplicate-edge", "cycle", "inputs-disagree-with-roles"],
+)
+def test_check_refuses_a_graph_the_verifier_cannot_trust(dag, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        dag.check()
 
 
 def test_retry_exhaustion_reports_witness():
