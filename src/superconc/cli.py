@@ -226,11 +226,14 @@ def _cmd_stirling_scan(args) -> int:
     return _finish(args, {"results": results}, all(r["passed"] for r in results), "")
 
 
-def _command(subs, name, func, help, output="write a JSON report to this path",
+def _command(subs, argv, name, func, help, output="write a JSON report to this path",
              print_json="print the JSON report to stdout"):
-    """Add a subcommand with its function, --output and (unless None) --print-json."""
+    """Add a subcommand with its function; unless argv leaves it out, also
+    --output and (unless None) --print-json, returning it for more options."""
     sub = subs.add_parser(name, help=help)
     sub.set_defaults(func=func)
+    if argv is not None and name not in argv:
+        return None
     sub.add_argument("--output", help=output)
     if print_json:
         sub.add_argument("--print-json", action="store_true", help=print_json)
@@ -280,7 +283,9 @@ def _plr_options(sub) -> None:
         sub.add_argument(flag, type=int, required=True)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The command-line parser.  Given argv, only the subcommands named in it
+    get their options: help and errors need only the others' names and help."""
     from . import DEFAULT_BUDGET
 
     parser = argparse.ArgumentParser(
@@ -290,82 +295,95 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    sub = _command(subs, "certify-pair", _cmd_certify_pair,
+    sub = _command(subs, argv, "certify-pair", _cmd_certify_pair,
                    "grid-certify the pair-expansion inequality")
-    _certify_options(sub, 0.3, 0.3322)
-    sub.add_argument("--p", type=float, default=0.45)
+    if sub:
+        _certify_options(sub, 0.3, 0.3322)
+        sub.add_argument("--p", type=float, default=0.45)
 
-    sub = _command(subs, "certify-expansion", _cmd_certify_expansion,
+    sub = _command(subs, argv, "certify-expansion", _cmd_certify_expansion,
                    "grid-certify the expansion inequality")
-    _certify_options(sub, 0.21, 0.48)
-    sub.add_argument("--boost", type=float, default=0.18)
-    _anchor_options(sub)
+    if sub:
+        _certify_options(sub, 0.21, 0.48)
+        sub.add_argument("--boost", type=float, default=0.18)
+        _anchor_options(sub)
 
-    sub = _command(subs, "check-conditions", _cmd_check_conditions,
+    sub = _command(subs, argv, "check-conditions", _cmd_check_conditions,
                    "evaluate the profile side conditions")
-    _anchor_options(sub)
-    sub.add_argument("--delta", type=str, default="0.325")
-    sub.add_argument("--gamma", type=str, default="1")
-    sub.add_argument("--eps1", type=str, default="0.3")
+    if sub:
+        _anchor_options(sub)
+        sub.add_argument("--delta", type=str, default="0.325")
+        sub.add_argument("--gamma", type=str, default="1")
+        sub.add_argument("--eps1", type=str, default="0.3")
 
-    sub = _command(subs, "sample-expander", _cmd_sample_expander,
+    sub = _command(subs, argv, "sample-expander", _cmd_sample_expander,
                    "sample the random bipartite graph",
                    output="write the graph text here (default: stdout)", print_json=None)
-    _model_options(sub, required=True)
-    _seed_options(sub, disjoint=True)
-    sub.add_argument("--dot", help="also write a DOT rendering to this path")
+    if sub:
+        _model_options(sub, required=True)
+        _seed_options(sub, disjoint=True)
+        sub.add_argument("--dot", help="also write a DOT rendering to this path")
 
-    sub = _command(subs, "check-expansion", _cmd_check_expansion,
+    sub = _command(subs, argv, "check-expansion", _cmd_check_expansion,
                    "exhaustively check expansion for small sizes")
-    sub.add_argument("--graph", help="graph text file (default: sample one)")
-    _model_options(sub, default=20)
-    _seed_options(sub, DEFAULT_BUDGET, disjoint=True)
-    sub.add_argument("--k-max", type=int, default=5)
-    sub.add_argument("--profile", help="profile text file (default: density-25.3 profile)")
-    sub.add_argument("--pairs", action="store_true", help="also check pair-expansion")
-    sub.add_argument("--gamma", type=str, default="1")
-    sub.add_argument("--alpha-max", type=str, default="0.3322")
+    if sub:
+        sub.add_argument("--graph", help="graph text file (default: sample one)")
+        _model_options(sub, default=20)
+        _seed_options(sub, DEFAULT_BUDGET, disjoint=True)
+        sub.add_argument("--k-max", type=int, default=5)
+        sub.add_argument("--profile", help="profile text file (default: density-25.3 profile)")
+        sub.add_argument("--pairs", action="store_true", help="also check pair-expansion")
+        sub.add_argument("--gamma", type=str, default="1")
+        sub.add_argument("--alpha-max", type=str, default="0.3322")
 
-    sub = _command(subs, "build-sc", _cmd_build_sc, "build the recursive superconcentrator",
+    sub = _command(subs, argv, "build-sc", _cmd_build_sc, "build the recursive superconcentrator",
                    output="write the graph JSON to this path (input of verify-sc)",
                    print_json="print the manifest to stdout")
-    _model_options(sub, required=True)
-    sub.add_argument("--base", type=int, default=20)
-    _seed_options(sub, 200_000)
-    sub.add_argument("--retries", type=int, default=8)
-    sub.add_argument("--check-k-max", type=int, default=2)
-    sub.add_argument("--expander", choices=["random", "complete"], default="random",
-                     help="expander source per level (complete bipartite is for testing)")
-    sub.add_argument("--dot", help="write a DOT rendering to this path")
-    sub.add_argument("--report", help="write the build manifest report to this path")
+    if sub:
+        _model_options(sub, required=True)
+        sub.add_argument("--base", type=int, default=20)
+        _seed_options(sub, 200_000)
+        sub.add_argument("--retries", type=int, default=8)
+        sub.add_argument("--check-k-max", type=int, default=2)
+        sub.add_argument("--expander", choices=["random", "complete"], default="random",
+                         help="expander source per level (complete bipartite is for testing)")
+        sub.add_argument("--dot", help="write a DOT rendering to this path")
+        sub.add_argument("--report", help="write the build manifest report to this path")
 
-    sub = _command(subs, "verify-sc", _cmd_verify_sc, "verify the superconcentrator property by flows")
-    sub.add_argument("--graph", required=True, help="graph JSON written by build-sc --output")
-    sub.add_argument("--mode", choices=["exhaustive", "sampled"], default="sampled")
-    sub.add_argument("--trials", type=int, default=500)
-    _seed_options(sub, DEFAULT_BUDGET)
+    sub = _command(subs, argv, "verify-sc", _cmd_verify_sc, "verify the superconcentrator property by flows")
+    if sub:
+        sub.add_argument("--graph", required=True, help="graph JSON written by build-sc --output")
+        sub.add_argument("--mode", choices=["exhaustive", "sampled"], default="sampled")
+        sub.add_argument("--trials", type=int, default=500)
+        _seed_options(sub, DEFAULT_BUDGET)
 
-    sub = _command(subs, "prob-bound", _cmd_prob_bound,
+    sub = _command(subs, argv, "prob-bound", _cmd_prob_bound,
                    "union bound on an expansion failure probability")
-    sub.add_argument("--kind", choices=["pair", "expansion"], required=True)
-    _model_options(sub, required=True)
-    sub.add_argument("--k", type=int, required=True)
-    sub.add_argument("--m", type=int, required=True)
+    if sub:
+        sub.add_argument("--kind", choices=["pair", "expansion"], required=True)
+        _model_options(sub, required=True)
+        sub.add_argument("--k", type=int, required=True)
+        sub.add_argument("--m", type=int, required=True)
 
-    _plr_options(_command(subs, "exact-plr", _cmd_exact_plr, "exact small-neighborhood probability"))
+    sub = _command(subs, argv, "exact-plr", _cmd_exact_plr, "exact small-neighborhood probability")
+    if sub:
+        _plr_options(sub)
 
-    sub = _command(subs, "mc-plr", _cmd_mc_plr, "Monte Carlo estimate of the same probability")
-    _plr_options(sub)
-    sub.add_argument("--trials", type=int, default=100_000)
-    _seed_options(sub)
+    sub = _command(subs, argv, "mc-plr", _cmd_mc_plr, "Monte Carlo estimate of the same probability")
+    if sub:
+        _plr_options(sub)
+        sub.add_argument("--trials", type=int, default=100_000)
+        _seed_options(sub)
 
-    sub = _command(subs, "stirling-scan", _cmd_stirling_scan, "entropy-vs-log-binomial gap scan")
-    sub.add_argument("--n", type=int, nargs="+", default=[128, 512, 2048])
+    sub = _command(subs, argv, "stirling-scan", _cmd_stirling_scan, "entropy-vs-log-binomial gap scan")
+    if sub:
+        sub.add_argument("--n", type=int, nargs="+", default=[128, 512, 2048])
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError, KeyError) as exc:

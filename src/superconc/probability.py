@@ -174,8 +174,11 @@ def alpha_coefficients(n: int, r: int) -> list[int]:
     """
     if not 0 <= r <= n:
         raise ValueError(f"r={r} outside 0..{n}")
+    row = [math.comb(n, i) for i in range(r + 1)]
+    # the sign of C(n, i) * C(i, k) is + at i = k and flips with each step
     double = [
-        sum((-1) ** (i - k) * comb0(n, i) * comb0(i, k) for i in range(k, r + 1))
+        sum(row[i] * math.comb(i, k) for i in range(k, r + 1, 2))
+        - sum(row[i] * math.comb(i, k) for i in range(k + 1, r + 1, 2))
         for k in range(r + 1)
     ]
     if r <= n - 1:
@@ -203,12 +206,13 @@ def exact_plr(n: int, ell: int, r: int, d: int) -> Fraction:
 
     Computed as sum over k of alpha_k * p_k in rational arithmetic, with
     p_k = (C(k, ell)/C(n, ell))^d the probability that all d images land
-    inside a fixed k-subset.
+    inside a fixed k-subset: the integers alpha_k * C(k, ell)^d are summed
+    over the one denominator C(n, ell)^d.
     """
     _check_plr_args(n, ell, r, d)
     alphas = alpha_coefficients(n, r)
-    cn = comb0(n, ell)
-    total = sum((alpha * Fraction(comb0(k, ell), cn) ** d for k, alpha in enumerate(alphas)), Fraction(0))
+    top = sum(alpha * math.comb(k, ell) ** d for k, alpha in enumerate(alphas))
+    total = Fraction(top, math.comb(n, ell) ** d)
     if not 0 <= total <= 1:
         raise ArithmeticError(f"probability {total} outside [0, 1] for n={n}, ell={ell}, r={r}, d={d}")
     return total
@@ -242,23 +246,23 @@ def boolean_identity_check(n: int, r: int, q) -> bool:
     return lhs == rhs
 
 
-def _floyd_mask(getrandbits, n: int, ell: int) -> int:
+def _floyd_mask(getrandbits, steps) -> int:
     """Bitmask of a uniform ell-subset of range(n) by Floyd's algorithm
-    (Bentley & Floyd, CACM 30(9), 1987).
+    (Bentley & Floyd, CACM 30(9), 1987), where ``steps`` lists
+    (j, j.bit_length(), 1 << j) for j = n-ell .. n-1.
 
-    For j = n-ell .. n-1 it draws t uniform on [0, j], by rejection on
+    For each j it draws t uniform on [0, j], by rejection on
     ``getrandbits(j.bit_length())``, and adds t, or j when t is already in.
     Each ell-subset arises from exactly ell! of the n!/(n-ell)! accepted
     draw sequences.
     """
     mask = 0
-    for j in range(n - ell, n):
-        width = j.bit_length()
+    for j, width, top in steps:
         t = getrandbits(width)
         while t > j:
             t = getrandbits(width)
         bit = 1 << t
-        mask |= (1 << j) if mask & bit else bit
+        mask |= top if mask & bit else bit
     return mask
 
 
@@ -274,11 +278,12 @@ def montecarlo_plr(n: int, ell: int, r: int, d: int, trials: int, seed: int):
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     getrandbits = random.Random(derive_seed("mc", seed)).getrandbits
+    steps = [(j, j.bit_length(), 1 << j) for j in range(n - ell, n)]
     hits = 0
     for _ in range(trials):
         u = 0
         for _ in range(d):
-            u |= _floyd_mask(getrandbits, n, ell)
+            u |= _floyd_mask(getrandbits, steps)
         if u.bit_count() <= r:
             hits += 1
     est = hits / trials

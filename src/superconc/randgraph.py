@@ -323,51 +323,68 @@ def sampled_min_expansion(g: BipartiteGraph, k: int, trials: int, seed: int):
         raise ValueError(f"k={k} outside 1..{g.n}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    adj = _adjacency(g)
     best = math.inf
     best_witness: tuple = ()
     for t in range(trials):
         rng = random.Random(derive_seed("sme", seed, t))
         S = sorted(rng.sample(range(1, g.n + 1), k))
-        S, val = _descend(g, S)
+        S, val = _descend(g, S, adj)
         if val < best:
             best = val
             best_witness = tuple(S)
     return int(best), best_witness
 
 
-def _descend(g: BipartiteGraph, S: list[int]):
-    members = list(S)
-    k = len(members)
+def _adjacency(g: BipartiteGraph) -> tuple:
+    """0-based neighbor lists of the left vertices and of the right ones."""
+    ids = list(range(g.n))  # both sides share one int object per vertex
+    left = [[ids[j - 1] for j in _mask_to_labels(m)] for m in g.masks]
+    right = [[] for _ in ids]
+    for x, row in zip(ids, left):
+        for w in row:
+            right[w].append(x)
+    return left, right
+
+
+def _descend(g: BipartiteGraph, S: list[int], adj=None):
+    """Swap the first member of S shedding the most neighbors for the
+    smallest outside label adding the fewest, while that shrinks the union;
+    returns the sorted local minimum and its union size.  Counts carry over
+    from swap to swap: cover[w] members touch right vertex w, and of a left
+    vertex x's neighbors own[x] have cover 1 and free[x] cover 0.  Members
+    add n + 1 to free, so min(free) is an outsider's.
+    """
+    left, right = adj or _adjacency(g)
+    n = g.n
+    cover, own, free = [0] * n, [0] * n, [len(row) for row in left]
+
+    def move(v, step):  # step 1 makes v a member, -1 takes it out
+        free[v] += step * (n + 1)
+        for w in left[v]:
+            was = cover[w]
+            now = cover[w] = was + step
+            if was <= 1 or now <= 1:
+                d_own, d_free = (now == 1) - (was == 1), (now == 0) - (was == 0)
+                for x in right[w]:
+                    own[x] += d_own
+                    free[x] += d_free
+
+    members = [v - 1 for v in S]
+    for v in members:
+        move(v, 1)
     while True:
-        masks = [g.masks[v - 1] for v in members]
-        # suffix[i] is the union of masks[i:]; with the running union of
-        # masks[:idx] it gives the union of all members but idx in O(1)
-        suffix = [0] * (k + 1)
-        for i in range(k - 1, -1, -1):
-            suffix[i] = suffix[i + 1] | masks[i]
-        total = suffix[0].bit_count()
-        # member whose removal sheds the most neighbors; ties go to the
-        # earliest position in members (unsorted once a swap has happened)
-        best_gain, victim_idx, base = -1, 0, 0
-        before = 0
-        for idx, m in enumerate(masks):
-            others = before | suffix[idx + 1]
-            gain = (m & ~others).bit_count()
-            if gain > best_gain:
-                best_gain, victim_idx, base = gain, idx, others
-            before |= m
-        outside = ~base
-        in_set = set(members)
-        best_add, candidate = math.inf, None
-        for u in range(1, g.n + 1):
-            if u in in_set:
-                continue
-            add = (g.masks[u - 1] & outside).bit_count()
-            if add < best_add:
-                best_add, candidate = add, u
-        if candidate is None or base.bit_count() + best_add >= total:
-            return sorted(members), total
-        members[victim_idx] = candidate
+        gains = list(map(own.__getitem__, members))
+        gain = max(gains)
+        idx = gains.index(gain)
+        # taken out, the victim reads free = gain (what it alone covered), so
+        # min(free) <= gain, equal (the stop) when no outsider adds fewer
+        move(members[idx], -1)
+        best_add = min(free)
+        if best_add >= gain:
+            return sorted(v + 1 for v in members), n - cover.count(0) + gain
+        members[idx] = free.index(best_add)
+        move(members[idx], 1)
 
 
 SubsetCheckEntry = namedtuple("SubsetCheckEntry", "k required achieved witness")

@@ -208,6 +208,18 @@ def test_exact_plr_matches_bruteforce_small():
     assert exact_plr(5, 3, 3, 2) == brute_plr(5, 3, 3, 2)
 
 
+def test_exact_plr_equals_the_per_term_fraction_sum():
+    # the reference normalises one Fraction alpha_k * p_k per term
+    for n in range(1, 25):
+        for r in range(n):
+            alphas = alpha_coefficients(n, r)
+            for ell in range(1, n + 1):
+                cn = comb0(n, ell)
+                for d in (1, 2, 3):
+                    terms = (alpha * Fraction(comb0(k, ell), cn) ** d for k, alpha in enumerate(alphas))
+                    assert exact_plr(n, ell, r, d) == sum(terms, Fraction(0))
+
+
 def test_exact_plr_stays_in_unit_interval():
     for n in (5, 8, 11):
         for ell in (1, 2, 3):
@@ -317,6 +329,7 @@ def test_floyd_mask_is_exactly_uniform(n, ell):
     # every accepted draw sequence t_j in [0, j], j = n-ell .. n-1, once; a
     # value the rejection loop must discard goes before each draw it can
     counts = {}
+    steps = [(j, j.bit_length(), 1 << j) for j in range(n - ell, n)]
     for draws in itertools.product(*(range(j + 1) for j in range(n - ell, n))):
         script = []
         for j, t in zip(range(n - ell, n), draws):
@@ -324,7 +337,7 @@ def test_floyd_mask_is_exactly_uniform(n, ell):
                 script.append(j + 1)
             script.append(t)
         getrandbits, rest = _scripted_getrandbits(script)
-        mask = _floyd_mask(getrandbits, n, ell)
+        mask = _floyd_mask(getrandbits, steps)
         assert next(rest, None) is None
         counts[mask] = counts.get(mask, 0) + 1
     assert sorted(counts) == sorted(

@@ -430,11 +430,11 @@ def _descend_reference(g, S):
 
 @st.composite
 def _graph_and_start(draw):
-    n = draw(st.integers(1, 40))
+    n = draw(st.integers(1, 64))
     rows = draw(
-        st.lists(st.lists(st.integers(1, n), max_size=4), min_size=n, max_size=n)
+        st.lists(st.lists(st.integers(1, n), max_size=8), min_size=n, max_size=n)
     )
-    k = draw(st.integers(1, n))
+    k = draw(st.one_of(st.just(1), st.just(n), st.integers(1, n)))
     start = draw(st.permutations(range(1, n + 1)))[:k]
     return BipartiteGraph(n, rows), start
 
@@ -444,6 +444,22 @@ def _graph_and_start(draw):
 def test_descend_matches_quadratic_reference(case):
     g, start = case
     assert _descend(g, start) == _descend_reference(g, start)
+
+
+@pytest.mark.parametrize(
+    "n, d, disjoint, k, trials, seed",
+    [(40, 5, True, 12, 6, 3), (64, 5, True, 21, 5, 9), (30, 2, False, 9, 8, 1), (24, 3, False, 1, 4, 2),
+     (16, 1, False, 16, 2, 5)],
+)
+def test_sampled_min_expansion_is_the_best_descent(n, d, disjoint, k, trials, seed):
+    # the trials share one adjacency, and each must walk as a fresh _descend
+    g = sample_g(n, d, Fraction(13, 40), seed, disjoint=disjoint)
+    walks = [
+        _descend(g, sorted(random.Random(randgraph.derive_seed("sme", seed, t)).sample(range(1, n + 1), k)))
+        for t in range(trials)
+    ]
+    members, value = min(walks, key=lambda walk: walk[1])  # the first minimiser
+    assert sampled_min_expansion(g, k, trials, seed) == (value, tuple(members))
 
 
 @settings(max_examples=100, deadline=None)
