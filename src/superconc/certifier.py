@@ -35,7 +35,6 @@ import csv
 import math
 import time
 from collections import namedtuple
-from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -278,22 +277,30 @@ def _corner_min(nb, A, B, C, x_min, x_max, y_min, y_max):
     return nb.vertex(sl, extra, a, b, c, x_min), extra, err
 
 
+def _shared_terms(nb, x_min, x_max, y_min, y_max, h_y, delta):
+    """The terms of A, B and C (constant, x and y coefficients) of the
+    strengthened H(y) - delta*H(y/delta) - (1-delta)*H((x-y)/(1-delta)),
+    which both inequalities hold; h_y holds lower bounds on H at y_min, y_max."""
+    ya, yb = nb.chord(y_min, y_max, *h_y)                # H(y), lower
+    ta, tb = nb.tangent(                                 # H(y/delta), upper
+        nb.minimum(y_min / delta, 1), nb.minimum(y_max / delta, 1)
+    )
+    ua, ub = nb.tangent(                                 # H((x-y)/(1-delta)), upper
+        nb.clip((x_min - y_max) / (1 - delta)), nb.clip((x_max - y_min) / (1 - delta))
+    )
+    return [ya, -delta * ta, -(1 - delta) * ua], [-ub], [yb, -tb, ub]
+
+
 def _pair_slack(nb, x_min, x_max, y_min, y_max, h, delta, p):
     """Corner-minimum slack of the strengthened pair inequality (gamma = 1);
     h holds lower bounds on H at x_min, x_max, y_min, y_max."""
     c1a, c1b = nb.chord(x_min, x_max, h[0], h[1])        # H(x), lower
-    c2a, c2b = nb.chord(y_min, y_max, h[2], h[3])        # H(y), lower
-    t3a, t3b = nb.tangent(                               # H(y/delta), upper
-        nb.minimum(y_min / delta, 1), nb.minimum(y_max / delta, 1)
-    )
-    t4a, t4b = nb.tangent(                               # H((x-y)/(1-delta)), upper
-        nb.clip((x_min - y_max) / (1 - delta)), nb.clip((x_max - y_min) / (1 - delta))
-    )
+    a, b, c = _shared_terms(nb, x_min, x_max, y_min, y_max, h[2:], delta)
     t5a, t5b = nb.tangent(nb.clip(y_min / x_max), nb.clip(y_max / x_min))  # H(y/x), upper
     # strengthened LHS - RHS = A + B*x + C*y, each coefficient a sum of products
-    A = [(1 - p) * c1a, c2a, -delta * t3a, -(1 - delta) * t4a]
-    B = [(1 - p) * c1b, 2 * p * nb.log(2), -t4b, -t5a]
-    C = [c2b, -t3b, t4b, -t5b]
+    A = [(1 - p) * c1a, *a]
+    B = [(1 - p) * c1b, 2 * p * nb.log(2), *b, -t5a]
+    C = [*c, -t5b]
     return _corner_min(nb, A, B, C, x_min, x_max, y_min, y_max)
 
 
@@ -306,17 +313,11 @@ def _expansion_slack(nb, x_min, x_max, y_min, y_max, h, delta, boost, ea, eb):
     r0, r1 = x_min / e_min, x_max / e_max                # x/e(x) is monotone on the cell
     spread = (abs(ea) + abs(eb) * x_max) / e_min
     c2a, c2b = nb.chord(*nb.outward(nb.minimum(r0, r1), nb.maximum(r0, r1), spread))
-    c3a, c3b = nb.chord(y_min, y_max, h[2], h[3])        # H(y), lower
-    t4a, t4b = nb.tangent(                               # H(y/delta), upper
-        nb.minimum(y_min / delta, 1), nb.minimum(y_max / delta, 1)
-    )
-    t5a, t5b = nb.tangent(                               # H((x-y)/(1-delta)), upper
-        nb.clip((x_min - y_max) / (1 - delta)), nb.clip((x_max - y_min) / (1 - delta))
-    )
+    a, b, c = _shared_terms(nb, x_min, x_max, y_min, y_max, h[2:], delta)
     t6a, t6b = nb.tangent(nb.clip(y_min / e_max), nb.clip(y_max / e_min))  # H(y/e(x)), upper
-    A = [(1 - boost) * c1a, boost * c2a * ea, c3a, -delta * t4a, -(1 - delta) * t5a, t6a * -ea]
-    B = [(1 - boost) * c1b, boost * c2a * eb, boost * c2b, -t5b, t6a * -eb]
-    C = [c3b, -t4b, t5b, -t6b]
+    A = [(1 - boost) * c1a, boost * c2a * ea, *a, t6a * -ea]
+    B = [(1 - boost) * c1b, boost * c2a * eb, boost * c2b, *b, t6a * -eb]
+    C = [*c, -t6b]
     return _corner_min(nb, A, B, C, x_min, x_max, y_min, y_max)
 
 
@@ -528,18 +529,17 @@ def certify_pair_inequality(delta=0.325, p=0.45, x_range=(0.3, 0.3322), grid_n: 
 
 
 def _segment_for(profile: PiecewiseLinear, lo, hi):
-    """Affine coefficients (ea, eb) of the profile on [lo, hi]; the interval
-    must sit inside a single increasing, positive segment (the interval
-    enclosures below rely on both)."""
+    """Affine coefficients (ea, eb) of the profile on [lo, hi], lo < hi; the
+    interval must sit inside a single increasing, positive segment (the
+    interval enclosures below rely on both)."""
     lo_f, hi_f = as_fraction(lo), as_fraction(hi)
-    for (x0, y0), (x1, y1) in zip(profile.breakpoints, profile.breakpoints[1:]):
-        if as_fraction(x0) <= lo_f and hi_f <= as_fraction(x1):
-            eb = Fraction(as_fraction(y1) - as_fraction(y0)) / (as_fraction(x1) - as_fraction(x0))
-            ea = as_fraction(y0) - eb * as_fraction(x0)
-            if eb <= 0 or ea + eb * lo_f <= 0:
-                raise ValueError(f"profile must be increasing and positive on [{lo}, {hi}]")
-            return float(ea), float(eb)
-    raise ValueError(f"[{lo}, {hi}] does not lie inside one linear segment of the profile")
+    start, end = profile.domain
+    if not start <= lo_f < hi_f <= end or any(lo_f < x < hi_f for x, _ in profile.breakpoints):
+        raise ValueError(f"[{lo}, {hi}] does not lie inside one linear segment of the profile")
+    eb, e_lo = profile.slope(lo_f), profile.eval(lo_f)
+    if eb <= 0 or e_lo <= 0:
+        raise ValueError(f"profile must be increasing and positive on [{lo}, {hi}]")
+    return float(e_lo - eb * lo_f), float(eb)
 
 
 def certify_expansion_inequality(delta=0.325, boost=0.18,

@@ -188,11 +188,12 @@ class SuperDag:
 
     def to_json(self) -> str:
         payload = {
+            # json writes tuples as arrays
             "nodes": [
-                {"role": r, "level": lv, "label": list(lb)}
+                {"role": r, "level": lv, "label": lb}
                 for r, lv, lb in zip(self.roles, self.level_of, self.labels)
             ],
-            "edges": [[u, v] for u, v in self.edges],
+            "edges": self.edges,
             "inputs": self.inputs,
             "outputs": self.outputs,
             "levels": self.level_records,
@@ -323,9 +324,7 @@ def build_gamma(n: int, cfg: BuildConfig | None = None) -> SuperDag:
 def _build_level(dag: SuperDag, cfg: BuildConfig, ins: list[int], outs: list[int], level: int) -> None:
     n = len(ins)
     if n <= cfg.base_size:
-        for u in ins:
-            for v in outs:
-                dag.add_edge(u, v)
+        dag.edges += [(u, v) for u in ins for v in outs]
         dag.level_records.append(
             {"level": level, "n": n, "kind": "base", "edges_added": n * n}
         )
@@ -339,18 +338,14 @@ def _build_level(dag: SuperDag, cfg: BuildConfig, ins: list[int], outs: list[int
     gy, info_y = _level_expander(cfg, n, level, "y")
 
     # each property read decodes all n bitmasks, so read it once per graph
-    for u, nbrs in zip(ins, gx.adjacency):
-        for j in nbrs:
-            dag.add_edge(u, xp[j - 1])
+    dag.edges += [(u, xp[j - 1]) for u, nbrs in zip(ins, gx.adjacency) for j in nbrs]
     # reverse copy: edge (i, j) of the sampled graph becomes y'_j -> y_i
-    for v, nbrs in zip(outs, gy.adjacency):
-        for j in nbrs:
-            dag.add_edge(yp[j - 1], v)
-    for i in range(1, half + 1):
-        dag.add_edge(xp[i + half - 1], yp[i - 1])
-        dag.add_edge(xp[i + half - 1], xp[i - 1])
-        dag.add_edge(xp[i - 1], yp[i + half - 1])
-        dag.add_edge(yp[i - 1], yp[i + half - 1])
+    dag.edges += [(yp[j - 1], v) for v, nbrs in zip(outs, gy.adjacency) for j in nbrs]
+    dag.edges += [
+        e for i in range(half) for e in (
+            (xp[i + half], yp[i]), (xp[i + half], xp[i]), (xp[i], yp[i + half]), (yp[i], yp[i + half])
+        )
+    ]
 
     lam_x = gx.edge_count()
     lam_y = gy.edge_count()

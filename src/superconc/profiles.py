@@ -88,10 +88,7 @@ class PiecewiseLinear(namedtuple("PiecewiseLinear", "breakpoints")):
         return (y1 - y0) / (x1 - x0)
 
     def segment_slopes(self) -> list:
-        return [
-            (y1 - y0) / (x1 - x0)
-            for (x0, y0), (x1, y1) in zip(self.breakpoints, self.breakpoints[1:])
-        ]
+        return [self.slope(x) for x, _ in self.breakpoints[:-1]]
 
     def to_text(self) -> str:
         """One "x y" pair per line."""
@@ -147,10 +144,14 @@ def density253_constants() -> ProfileConstants:
     return ProfileConstants.from_c1_c3("0.2301", "0.3322", d="5.325", delta="0.325")
 
 
-def expansion_profile(c: ProfileConstants) -> PiecewiseLinear:
-    """Five-anchor expansion profile through (0,0), (c1,c2), (c3,c4), (c5,c6), (1,1)."""
+def _check_anchor_order(c: ProfileConstants) -> None:
     if not c.c1 < c.c3 < c.c5:
         raise ValueError(f"need c1 < c3 < c5, got {c.c1}, {c.c3}, {c.c5}")
+
+
+def expansion_profile(c: ProfileConstants) -> PiecewiseLinear:
+    """Five-anchor expansion profile through (0,0), (c1,c2), (c3,c4), (c5,c6), (1,1)."""
+    _check_anchor_order(c)
     one = Fraction(1)
     return PiecewiseLinear(
         ((Fraction(0), Fraction(0)), (c.c1, c.c2), (c.c3, c.c4), (c.c5, c.c6), (one, one))
@@ -165,8 +166,7 @@ def alon_capalbo_profile() -> PiecewiseLinear:
 
 def overlap_profile(c: ProfileConstants) -> PiecewiseLinear:
     """Overlap lower-bound profile on [c3, 1] through (c3, c3-c1), (c5, c5-c1), (1, 1)."""
-    if not c.c1 < c.c3 < c.c5:
-        raise ValueError(f"need c1 < c3 < c5, got {c.c1}, {c.c3}, {c.c5}")
+    _check_anchor_order(c)
     one = Fraction(1)
     return PiecewiseLinear(((c.c3, c.c3 - c.c1), (c.c5, c.c5 - c.c1), (one, one)))
 
@@ -199,6 +199,15 @@ class ConditionReport(namedtuple("ConditionReport", "checks")):
         }
 
 
+def _condition(name: str, kind: str, slack: Fraction, detail: str) -> ConditionCheck:
+    """The check whose exact slack is ``slack``: kind ">" passes on a positive
+    slack and ">=" on a nonnegative one; an "==" row's slack is the deviation,
+    which passes at zero and is reported as -|deviation|."""
+    if kind == "==":
+        return ConditionCheck(name, slack == 0, -abs(float(slack)), detail)
+    return ConditionCheck(name, slack > 0 if kind == ">" else slack >= 0, float(slack), detail)
+
+
 def check_conditions(c: ProfileConstants, gamma=1, eps1=Fraction(3, 10)) -> ConditionReport:
     """Evaluate every side condition on the constants with exact arithmetic.
 
@@ -215,60 +224,27 @@ def check_conditions(c: ProfileConstants, gamma=1, eps1=Fraction(3, 10)) -> Cond
     s01, s12, s23, s34 = expansion_profile(c).segment_slopes()
 
     checks = [
-        ConditionCheck(
-            "c2+c4>=1",
-            c.c2 + c.c4 >= 1,
-            float(c.c2 + c.c4 - 1),
-            f"c2+c4={c.c2 + c.c4}",
-        ),
-        ConditionCheck(
-            "c1+c2+c3<=1",
-            c.c1 + c.c2 + c.c3 <= 1,
-            float(1 - (c.c1 + c.c2 + c.c3)),
-            f"c1+c2+c3={c.c1 + c.c2 + c.c3}",
-        ),
-        ConditionCheck("slope-chain-1", s01 > s12, float(s01 - s12), f"{s01} > {s12}"),
-        ConditionCheck("slope-chain-2", s12 > s23, float(s12 - s23), f"{s12} > {s23}"),
-        ConditionCheck(
-            "middle-slope-unit",
-            s23 == 1,
-            -abs(float(s23 - 1)),
-            f"slope on (c3, c5) = {s23}",
-        ),
-        ConditionCheck("final-slope<1", s34 < 1, float(1 - s34), f"slope on (c5, 1) = {s34}"),
-        ConditionCheck(
-            "degree>2+e'(0)",
-            c.d > 2 + s01,
-            float(c.d - 2 - s01),
-            f"d={c.d} vs 2+e'(0)={float(2 + s01):.10f}",
-        ),
-        ConditionCheck(
-            "degree>1+2/e'(1)",
-            c.d > 1 + 2 / s34,
-            float(c.d - 1 - 2 / s34),
+        _condition("c2+c4>=1", ">=", c.c2 + c.c4 - 1, f"c2+c4={c.c2 + c.c4}"),
+        _condition("c1+c2+c3<=1", ">=", 1 - (c.c1 + c.c2 + c.c3), f"c1+c2+c3={c.c1 + c.c2 + c.c3}"),
+        _condition("slope-chain-1", ">", s01 - s12, f"{s01} > {s12}"),
+        _condition("slope-chain-2", ">", s12 - s23, f"{s12} > {s23}"),
+        _condition("middle-slope-unit", "==", s23 - 1, f"slope on (c3, c5) = {s23}"),
+        _condition("final-slope<1", ">", 1 - s34, f"slope on (c5, 1) = {s34}"),
+        _condition("degree>2+e'(0)", ">", c.d - 2 - s01, f"d={c.d} vs 2+e'(0)={float(2 + s01):.10f}"),
+        _condition(
+            "degree>1+2/e'(1)", ">", c.d - 1 - 2 / s34,
             f"d={c.d} vs 1+2/e'(1)={float(1 + 2 / s34):.10f}",
         ),
     ]
 
     if 2 * gamma * eps1 >= 1:
-        checks.append(
-            ConditionCheck(
-                "pair-degree",
-                False,
-                float("-inf"),
-                f"pole: 2*gamma*eps1 = {2 * gamma * eps1} >= 1",
-            )
+        pair = ConditionCheck(
+            "pair-degree", False, float("-inf"), f"pole: 2*gamma*eps1 = {2 * gamma * eps1} >= 1"
         )
     else:
         threshold = 1 + gamma * (1 - eps1) / (1 - 2 * gamma * eps1)
-        d_whole = Fraction(c.d_int)
-        checks.append(
-            ConditionCheck(
-                "pair-degree",
-                d_whole > threshold,
-                float(d_whole - threshold),
-                f"floor(d)={c.d_int} vs 1+gamma(1-eps1)/(1-2*gamma*eps1)={float(threshold):.10f}",
-            )
+        pair = _condition(
+            "pair-degree", ">", c.d_int - threshold,
+            f"floor(d)={c.d_int} vs 1+gamma(1-eps1)/(1-2*gamma*eps1)={float(threshold):.10f}",
         )
-
-    return ConditionReport(tuple(checks))
+    return ConditionReport((*checks, pair))

@@ -4,10 +4,11 @@ import hashlib
 import json
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath import iv
 
@@ -32,7 +33,7 @@ from superconc.certifier import (
     entropy_lower,
 )
 from superconc.entropy import entropy
-from superconc.profiles import density253_constants, expansion_profile
+from superconc.profiles import PiecewiseLinear, as_fraction, density253_constants, expansion_profile
 
 C = density253_constants()
 PROFILE = expansion_profile(C)
@@ -422,6 +423,54 @@ def test_expansion_single_cell_matches_scalar_envelope_oracle():
 def test_expansion_interval_must_fit_one_segment():
     with pytest.raises(ValueError):
         certify_expansion_inequality(x_intervals=[(0.21, 0.48)], grid_n=10)
+
+
+def _segment_for_reference(profile, lo, hi):
+    """_segment_for as a scan over the segments, each interpolated anew."""
+    lo_f, hi_f = as_fraction(lo), as_fraction(hi)
+    for (x0, y0), (x1, y1) in zip(profile.breakpoints, profile.breakpoints[1:]):
+        if as_fraction(x0) <= lo_f and hi_f <= as_fraction(x1):
+            eb = Fraction(as_fraction(y1) - as_fraction(y0)) / (as_fraction(x1) - as_fraction(x0))
+            ea = as_fraction(y0) - eb * as_fraction(x0)
+            if eb <= 0 or ea + eb * lo_f <= 0:
+                raise ValueError(f"profile must be increasing and positive on [{lo}, {hi}]")
+            return float(ea), float(eb)
+    raise ValueError(f"[{lo}, {hi}] does not lie inside one linear segment of the profile")
+
+
+@st.composite
+def _profile_and_interval(draw):
+    """A profile of 2 to 6 rational breakpoints, whose values may fall or
+    turn negative, and an interval lo < hi (as _certify hands over) inside a
+    segment, across breakpoints or reaching out of the domain."""
+    k = draw(st.integers(2, 6))
+    unit = st.fractions(min_value=0, max_value=1, max_denominator=24)
+    xs = sorted(draw(st.sets(unit, min_size=k, max_size=k)))
+    ys = draw(st.lists(st.fractions(min_value=-1, max_value=2, max_denominator=24),
+                       min_size=k, max_size=k))
+    wide = st.fractions(min_value=Fraction(-1, 2), max_value=Fraction(3, 2), max_denominator=48)
+    point = st.one_of(st.sampled_from(xs), unit, wide)
+    # ordered as _segment_for reads them: a float by its shortest decimal
+    lo, hi = sorted(draw(st.lists(st.one_of(point, point.map(float)), min_size=2, max_size=2)),
+                    key=as_fraction)
+    assume(as_fraction(lo) < as_fraction(hi))
+    return PiecewiseLinear(zip(xs, ys)), lo, hi
+
+
+@settings(max_examples=200, deadline=None)
+@given(_profile_and_interval())
+@example((PROFILE, float(C.c3), float(C.c5)))
+@example((PROFILE, 0.21, 0.48))
+def test_segment_for_matches_the_segment_scan(case):
+    profile, lo, hi = case
+    try:
+        want = _segment_for_reference(profile, lo, hi)
+    except ValueError as err:
+        with pytest.raises(ValueError) as got:
+            _segment_for(profile, lo, hi)
+        assert str(got.value) == str(err)
+    else:
+        assert _segment_for(profile, lo, hi) == want
 
 
 def test_expansion_validation():

@@ -73,6 +73,10 @@ CASES = {
         ["check-conditions --gamma 2 --print-json".split()],
         1, "d72cd90a1495172fb99b674c29f7bd12795112fa75b2ffc8a02ecf70f670fd55",
     ),
+    "check-conditions-low-degree": (
+        ["check-conditions --d 3 --print-json".split()],
+        1, "8cef445ddd42378b2f6d5c539e15d4cef898141077a42d6eff895b0a1ccfdff6",
+    ),
     "check-conditions-usage": (
         ["check-conditions --c1 0.3 --c3 0.3".split()],
         2, "3e046220ab38418e870ae3d5c78b5e256b94974871e9353f72ab84b16efd5c06",

@@ -1,6 +1,9 @@
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from superconc.profiles import (
     ConditionCheck,
@@ -250,3 +253,100 @@ def test_condition_report_as_dict():
     assert {c["name"] for c in d["checks"]} >= {"c2+c4>=1", "pair-degree"}
     # the anchor order is checked by expansion_profile, which raises first
     assert "c1<c3<c5" not in {c["name"] for c in d["checks"]}
+
+
+def _reference_conditions(c, gamma, eps1):
+    """The nine side conditions, each comparison written out apart from its
+    slack: the reference for check_conditions' one-expression rows."""
+    gamma = as_fraction(gamma)
+    eps1 = as_fraction(eps1)
+    s01, s12, s23, s34 = expansion_profile(c).segment_slopes()
+    checks = [
+        ConditionCheck("c2+c4>=1", c.c2 + c.c4 >= 1, float(c.c2 + c.c4 - 1), f"c2+c4={c.c2 + c.c4}"),
+        ConditionCheck(
+            "c1+c2+c3<=1",
+            c.c1 + c.c2 + c.c3 <= 1,
+            float(1 - (c.c1 + c.c2 + c.c3)),
+            f"c1+c2+c3={c.c1 + c.c2 + c.c3}",
+        ),
+        ConditionCheck("slope-chain-1", s01 > s12, float(s01 - s12), f"{s01} > {s12}"),
+        ConditionCheck("slope-chain-2", s12 > s23, float(s12 - s23), f"{s12} > {s23}"),
+        ConditionCheck(
+            "middle-slope-unit", s23 == 1, -abs(float(s23 - 1)), f"slope on (c3, c5) = {s23}"
+        ),
+        ConditionCheck("final-slope<1", s34 < 1, float(1 - s34), f"slope on (c5, 1) = {s34}"),
+        ConditionCheck(
+            "degree>2+e'(0)",
+            c.d > 2 + s01,
+            float(c.d - 2 - s01),
+            f"d={c.d} vs 2+e'(0)={float(2 + s01):.10f}",
+        ),
+        ConditionCheck(
+            "degree>1+2/e'(1)",
+            c.d > 1 + 2 / s34,
+            float(c.d - 1 - 2 / s34),
+            f"d={c.d} vs 1+2/e'(1)={float(1 + 2 / s34):.10f}",
+        ),
+    ]
+    if 2 * gamma * eps1 >= 1:
+        checks.append(
+            ConditionCheck(
+                "pair-degree", False, float("-inf"), f"pole: 2*gamma*eps1 = {2 * gamma * eps1} >= 1"
+            )
+        )
+    else:
+        threshold = 1 + gamma * (1 - eps1) / (1 - 2 * gamma * eps1)
+        d_whole = Fraction(c.d_int)
+        checks.append(
+            ConditionCheck(
+                "pair-degree",
+                d_whole > threshold,
+                float(d_whole - threshold),
+                f"floor(d)={c.d_int} vs 1+gamma(1-eps1)/(1-2*gamma*eps1)={float(threshold):.10f}",
+            )
+        )
+    return checks
+
+
+_UNIT = st.fractions(min_value=0, max_value=1, max_denominator=40).filter(lambda f: 0 < f < 1)
+
+
+@st.composite
+def _ordered_constants(draw):
+    """ProfileConstants with c1 < c3 < c5, built directly so that the anchor
+    sums, the unit middle slope and the degree rows can each fail, pass with
+    slack or hold with equality; from_c1_c3 ties the sums to 1 always."""
+    c1, c3, c5 = sorted(draw(st.sets(_UNIT, min_size=3, max_size=3)))
+    c2 = draw(st.one_of(_UNIT, st.just(1 - c1 - c3)))
+    c4 = draw(st.one_of(_UNIT, st.just(1 - c2)))
+    c6 = draw(st.one_of(_UNIT, st.just(c4 + c5 - c3)))
+    assume(all(0 < v < 1 for v in (c2, c4, c6)))
+    s01, s34 = c2 / c1, (1 - c6) / (1 - c5)
+    d = draw(st.one_of(
+        st.fractions(min_value=0, max_value=12, max_denominator=40),
+        st.just(2 + s01),
+        st.just(1 + 2 / s34),
+    ))
+    delta = draw(st.fractions(min_value=0, max_value=1, max_denominator=40))
+    return ProfileConstants(c1, c2, c3, c4, c5, c6, d, delta)
+
+
+def _fields(check):
+    # copysign tells -0.0 from 0.0, which == does not
+    return check.name, check.passed, check.slack, math.copysign(1.0, check.slack), check.detail
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    _ordered_constants(),
+    st.fractions(min_value=0, max_value=3, max_denominator=20),
+    st.fractions(min_value=0, max_value=1, max_denominator=20),
+)
+@example(C, 1, Fraction(1, 2))  # the pole: 2*gamma*eps1 = 1
+@example(C, 1, Fraction(3, 10))
+@example(ProfileConstants("1/5", "1/2", "2/5", "1/2", "3/5", "7/10", 3, 0), 2, Fraction(1, 4))
+def test_check_conditions_matches_the_reference_rows(c, gamma, eps1):
+    got = check_conditions(c, gamma, eps1)
+    want = _reference_conditions(c, gamma, eps1)
+    assert [_fields(k) for k in got.checks] == [_fields(k) for k in want]
+    assert got.all_pass == all(k.passed for k in want)
