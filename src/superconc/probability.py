@@ -1,11 +1,13 @@
 """Failure probabilities for expansion properties of the permutation-overlay
-model: union-bound estimates, an exact inclusion-exclusion formula, and
+model: union bounds, an exact inclusion-exclusion formula, and
 brute-force / Monte Carlo oracles.
 
 Everything that involves an alternating sum is computed in exact rational
 arithmetic; floating point would lose the cancellation.  The positive-sum
-union bounds switch to log-domain floats above ``EXACT_LIMIT`` so they stay
-usable for large n, and every result records which regime produced it.
+union bounds are one integer formula: up to ``EXACT_LIMIT`` its terms are
+summed as Fractions, above it each term is scaled by 2^64 and rounded up, so
+large n stays cheap and the sum stays an upper bound.  Either way the log of
+the bound is rounded up, and every result records which regime produced it.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from collections import namedtuple
 from fractions import Fraction
 
 from . import derive_seed
-from .entropy import log_binomial
 from .profiles import as_fraction
 
 # Only empirical_expansion_failure, which samples whole graphs, imports
@@ -50,60 +51,64 @@ def comb0(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def _log_fraction(x: Fraction) -> float:
-    if x == 0:
-        return float("-inf")
-    return math.log(x.numerator) - math.log(x.denominator)
-
-
-def _logsumexp(terms) -> float:
-    peak = max(terms, default=float("-inf"))
-    if peak == float("-inf"):
-        return peak
-    return peak + math.log(sum(math.exp(t - peak) for t in terms))
-
-
 class BoundValue(namedtuple("BoundValue", "log_value exact regime")):
-    """A probability bound, as a natural log plus the exact rational when the
-    instance was small enough to afford one; ``regime`` is "exact" or "log"."""
+    """A probability bound as its natural log rounded up, plus the exact
+    rational in the "exact" regime; ``regime`` is "exact" or "log"."""
 
     __slots__ = ()
 
     @property
     def value(self) -> float:
-        return math.exp(self.log_value)
+        """The bound as a float, inf past e^709: a union bound may exceed 1."""
+        try:
+            return math.exp(self.log_value)
+        except OverflowError:
+            return math.inf
 
 
-def _resolve_regime(n: int, regime: str) -> str:
-    if regime == "auto":
-        return "exact" if n <= EXACT_LIMIT else "log"
-    if regime in ("exact", "log"):
-        return regime
-    raise ValueError(f"unknown regime {regime!r}")
+def _row(n: int, lo: int, count: int):
+    """Yield C(n, lo), ..., C(n, lo+count-1) by C(n, j+1) = C(n, j)*(n-j)/(j+1)."""
+    c = comb0(n, lo)
+    for j in range(lo, lo + count):
+        yield c
+        c = c * (n - j) // (j + 1)
+
+
+def _ln_up(num: int, den: int) -> float:
+    """ln(num/den) rounded up, for integers num >= 0 and den > 0 of any size.
+
+    q = floor(num*2^s/den) + 1 has about 64 bits, and ln q - s*ln 2 exceeds
+    ln(num/den).  With libm's log within one ulp the float roundings total at
+    most 5u*(ln q + |s| ln 2), u = 2^-53; the step up is 32 times that, sized
+    from the two terms, not from the result, because they can cancel."""
+    if num == 0:
+        return -math.inf
+    s = 64 - num.bit_length() + den.bit_length()
+    q = (num << s) // den + 1 if s >= 0 else num // (den << -s) + 1
+    log_q, log_scale = math.log(q), s * math.log(2)
+    return log_q - log_scale + (log_q + abs(log_scale)) * 2.0**-48
 
 
 def _union_bound(N, d, k, m, pinned, sets, reach, regime) -> BoundValue:
     """C(sets, m-1) * (C(reach, k)/C(N, k))^d times the pinned-edge sum over i
     of C(pinned, i) * C(N-pinned, k-i) * C(m-1, i) / C(N, i), whose terms
-    past i = min(k, m-1) vanish; exact or in logs as the regime resolves."""
+    past i = min(k, m-1) vanish.  The "exact" regime sums the terms as
+    Fractions; the "log" regime sums each term times 2^64, rounded up, over
+    the one denominator 2^64, which bounds the exact sum from above."""
+    if regime not in ("auto", "exact", "log"):
+        raise ValueError(f"unknown regime {regime!r}")
+    exact = regime == "exact" or (regime == "auto" and N <= EXACT_LIMIT)
     top = min(k, m - 1) + 1
-    if _resolve_regime(N, regime) == "exact":
-        ratio = Fraction(comb0(reach, k), comb0(N, k)) ** d
-        total = sum(
-            Fraction(comb0(pinned, i) * comb0(N - pinned, k - i) * comb0(m - 1, i), comb0(N, i))
-            for i in range(top)
-        )
-        exact = comb0(sets, m - 1) * ratio * total
-        return BoundValue(_log_fraction(exact), exact, "exact")
-    base = log_binomial(sets, m - 1) + d * (log_binomial(reach, k) - log_binomial(N, k))
-    terms = [
-        log_binomial(pinned, i)
-        + log_binomial(N - pinned, k - i)
-        + log_binomial(m - 1, i)
-        - log_binomial(N, i)
-        for i in range(top)
-    ]
-    return BoundValue(base + _logsumexp(terms), None, "log")
+    free = list(_row(N - pinned, k - top + 1, top))[::-1]  # C(N-pinned, k-i) for i < top
+    rows = zip(_row(pinned, 0, top), free, _row(m - 1, 0, top), _row(N, 0, top))
+    terms = ((a * b * c, e) for a, b, c, e in rows)
+    if exact:
+        num, den = sum(Fraction(a, e) for a, e in terms).as_integer_ratio()
+    else:
+        num, den = -sum((-a << 64) // e for a, e in terms), 1 << 64
+    num *= comb0(sets, m - 1) * comb0(reach, k) ** d
+    den *= comb0(N, k) ** d
+    return BoundValue(_ln_up(num, den), Fraction(num, den) if exact else None, "exact" if exact else "log")
 
 
 def pair_fail_bound(N: int, d: int, delta, k: int, m: int, regime: str = "auto") -> BoundValue:
@@ -324,16 +329,6 @@ def plr_table(rows, trials: int = 0, seed: int = 0) -> str:
             mc, se = f"{est:.6f}", f"{stderr:.6f}"
         else:
             mc, se = "", ""
-        writer.writerow(
-            [
-                n,
-                ell,
-                r,
-                d,
-                f"{exact.numerator}/{exact.denominator}",
-                f"{bound.numerator}/{bound.denominator}",
-                mc,
-                se,
-            ]
-        )
+        ratios = [f"{x.numerator}/{x.denominator}" for x in (exact, bound)]
+        writer.writerow([n, ell, r, d, *ratios, mc, se])
     return buf.getvalue()

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 
 import pytest
 
@@ -376,6 +377,16 @@ def test_prob_bound_pair(capsys, tmp_path):
     assert payload["exact"] == "4/1"
 
 
+def test_prob_bound_past_float_range_prints_inf(capsys):
+    # ln of this union bound is about 2299, past the e^709 where floats end
+    argv = ["prob-bound", "--kind", "expansion", "--n", "4000", "--k", "10", "--m", "3000"]
+    assert main(argv + ["--print-json"]) == 0
+    out = capsys.readouterr().out
+    payload, end = json.JSONDecoder().raw_decode(out)
+    assert math.isfinite(payload["log_value"]) and payload["log_value"] > 709
+    assert out[end:].strip() == f"prob-bound expansion: log={payload['log_value']:.6f} value=inf"
+
+
 def test_mc_plr_prints_estimate(capsys):
     rc = main(["mc-plr", "--n", "6", "--ell", "2", "--r", "3", "--d", "2", "--trials", "4000"])
     assert rc == 0
@@ -420,13 +431,13 @@ def test_missing_graph_file_is_usage_error(tmp_path, capsys):
         ),
         (
             ["prob-bound", "--kind", "expansion", "--n", "4000", "--k", "400", "--m", "800", "--print-json"],
-            "a193b7aa63433bac99e6c0f77d3700eb242f1b4a8bbcdb12e646b2c5e4039ad9",
+            "fc97b01aaf50f7f67ae20eb3f3d8d5b79b28539ba24e807e1f1b8c360ef3137d",
         ),
     ],
     ids=["stirling-scan", "prob-bound-log"],
 )
 def test_scalar_entropy_commands_golden_stdout(argv, want, capsys):
-    # both evaluate entropy or log-binomials on Python floats
+    # both print Python floats: entropy terms, and a log rounded up from integers
     assert main(argv) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == want
 

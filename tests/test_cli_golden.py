@@ -153,7 +153,7 @@ CASES = {
     ),
     "prob-bound-json": (
         ["prob-bound --kind pair --n 8 --d 1 --delta 0 --k 2 --m 2 --print-json".split()],
-        0, "efee852411ad08cdf3783394b4ac3972c00539930f72380165a212f7a74943d7",
+        0, "efee2b289eba1c636dcdc4e31231831fcb09749533ea18fa229e78e513130463",
     ),
     "prob-bound-output": (
         ["prob-bound --kind expansion --n 200 --k 20 --m 1 --output b.json".split()],

@@ -2,13 +2,16 @@ import itertools
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from superconc import probability
 from superconc.probability import (
     BoundValue,
     _floyd_mask,
+    _ln_up,
     alpha_coefficients,
     bassalygo_bound,
     binom_ratio_bound,
@@ -132,6 +135,69 @@ def test_large_instances_use_log_regime_automatically():
     b = expansion_fail_bound(500, 5, "0.325", 100, 250)
     assert b.regime == "log" and b.exact is None
     assert math.isfinite(b.log_value)
+
+
+def _bound_grid(top_n=40):
+    """Every valid (fn, N, d, delta, k, m) of both union bounds at N <= top_n,
+    delta in {0, 13/40}, d in {1, 5}."""
+    for N, d, delta in itertools.product(range(1, top_n + 1), (1, 5), (0, Fraction(13, 40))):
+        for k, m in itertools.product(range(1, N + 1), repeat=2):
+            yield expansion_fail_bound, N, d, delta, k, m
+        if N % 2 == 0:
+            for k, m in itertools.product(range(N + 1), range(1, N // 2)):
+                if 2 * m > k:
+                    yield pair_fail_bound, N, d, delta, k, m
+
+
+def _ln(x: Fraction):
+    with mpmath.workdps(60):
+        return mpmath.log(mpmath.mpf(x.numerator) / x.denominator)
+
+
+def test_log_regime_ratio_is_at_least_exact_and_every_log_is_an_upper_bound(monkeypatch):
+    # every bound takes its log through _ln_up, so record the ratio it is given
+    ratios = []
+    ln_up = probability._ln_up
+
+    def recording(num, den):
+        ratios.append(Fraction(num, den))
+        return ln_up(num, den)
+
+    monkeypatch.setattr(probability, "_ln_up", recording)
+    count = 0
+    for fn, *args in _bound_grid():
+        exact = fn(*args, regime="exact")
+        rounded = fn(*args, regime="log")
+        exact_ratio, log_ratio = ratios
+        ratios.clear()
+        assert exact_ratio == exact.exact and log_ratio >= exact.exact, (fn.__name__, args)
+        if exact.exact == 0:
+            assert exact.log_value == rounded.log_value == -math.inf
+        else:
+            want = _ln(exact.exact)
+            assert exact.log_value >= want and rounded.log_value >= want, (fn.__name__, args)
+        count += 1
+    assert count > 50_000
+
+
+def test_ln_up_rounds_up():
+    assert 0 <= _ln_up(7, 7) < 1e-12
+    assert 0 <= _ln_up(3**500, 3**500) < 1e-12
+    assert _ln_up(0, 5) == -math.inf
+    cases = [(1 << j, 1) for j in (0, 1, 52, 64, 65, 700)]
+    cases += [(1, 1 << j) for j in (1, 63, 64, 1000)]
+    cases += [(3 << 200, 3 << 170), (5, 5 << 90)]  # exact powers of two
+    near = 1 << 60  # ratios within 2^-60 of 1
+    cases += [(near + 1, near), (near - 1, near), (near, near + 1), (near << 100 | 1, near << 100)]
+    wide = 12_000
+    cases += [(3**7571, 7**4276), (7**4276, 3**7571), (3**7571 + 1, 3**7571), (1 << wide, 3**7571)]
+    cases += [(3**7571, 1), (1, 3**7571), (3**7571, 7)]
+    assert max(num.bit_length() for num, _ in cases) >= wide
+    for num, den in cases:
+        got = _ln_up(num, den)
+        want = _ln(Fraction(num, den))
+        assert got >= want, (num.bit_length(), den.bit_length())
+        assert got - want <= 1e-12 * max(1, abs(float(want))) + 1e-12
 
 
 # --- ratio bound ---------------------------------------------------------------
@@ -389,5 +455,6 @@ def test_bound_value_keeps_its_repr_fields_and_immutability():
     assert repr(bound) == "BoundValue(log_value=-1.5, exact=Fraction(1, 4), regime='exact')"
     assert bound == BoundValue(-1.5, Fraction(1, 4), "exact")
     assert bound.value == math.exp(-1.5)
+    assert BoundValue(710.0, None, "log").value == math.inf  # past the float range
     with pytest.raises(AttributeError):
         bound.regime = "log"
