@@ -19,11 +19,11 @@ Each x-interval carries a grid_n x grid_n grid of cells, and the driver
 refines rectangles of cells down to single cells only where the minimum can
 lie or the margin is missed (Moore-Skelboe style; Hansen and Walster, Global
 Optimization Using Interval Analysis, 2004); a round evaluates at most
-_BLOCK_CELLS open rectangles in one float64 kernel call.  Each inequality and
-the corner rule are written once against a number backend: float64 over
-arrays of rectangles, or mpmath interval arithmetic over one.  Of the two
-corners at a y-level float64 evaluates only the lower one, which the sign of
-the x-coefficient picks (a corner rounds monotonically in x).  The spot check
+_BLOCK_CELLS open rectangles in one float64 kernel call.  The leaves must
+cover every grid cell exactly once; their summed cells are the report's
+``cells_checked``.  Each inequality and the corner rule are written once
+against a number backend, which holds only number operations: float64 over
+arrays of rectangles, or mpmath interval arithmetic over one.  The spot check
 (``confirm``) encloses the slack of the lowest leaf of every x-interval with
 the interval backend at 113 bits; mpmath is imported only then.
 """
@@ -167,13 +167,6 @@ def _corner(a, b, c, x, y):
     return a + b * x + c * y
 
 
-def _f64_lower_corner(a, b, c, left, right, y):
-    """The lower of the corners (left, y) and (right, y), left <= right.  In
-    float64 a corner is still monotone in x, rising with it where b >= 0, so
-    the sign of b picks the lower one, and only that one is evaluated."""
-    return _corner(a, b, c, np.where(b < 0, right, left), y)
-
-
 # float64 backend over arrays of rectangles (or any broadcast shapes).  chord
 # and tangent look up the module-level names at each call, so a wrapper
 # installed on them (as the benchmark tracer does) sees every call.
@@ -181,9 +174,7 @@ _F64 = SimpleNamespace(
     chord=lambda *ends: chord_coefficients(*ends),
     tangent=lambda lo, hi: tangent_coefficients(lo, hi),
     outward=_outward, clip=lambda v: np.clip(v, 0.0, 1.0), minimum=np.minimum, maximum=np.maximum,
-    lower_corner=_f64_lower_corner, log=math.log,
-    vertex=lambda sl, extra, a, b, c, x: np.where(
-        extra, np.minimum(sl, _corner(a, b, c, x, x)), sl),
+    log=math.log,
 )
 
 
@@ -245,36 +236,34 @@ def _iv_log(v):
 
 
 # mpmath interval backend: every quantity is an interval enclosing its exact
-# value; cell coordinates are points, so comparing them is exact.  The sign of
-# an enclosure of b can be undecided, so both corners of a y-level count.
+# value; cell coordinates are points, so comparing them is exact.
 _IV = SimpleNamespace(
     chord=_iv_chord, tangent=_iv_tangent, outward=lambda lo, hi, spread: (lo, hi),
-    clip=lambda v: _iv_min(_iv_max(v, 0), 1), minimum=_iv_min, maximum=_iv_max,
-    lower_corner=lambda a, b, c, left, right, y: _iv_min(
-        _corner(a, b, c, left, y), _corner(a, b, c, right, y)),
-    vertex=lambda sl, extra, a, b, c, x: _iv_min(sl, _corner(a, b, c, x, x)) if extra else sl,
-    log=_iv_log,
+    clip=lambda v: _iv_min(_iv_max(v, 0), 1), minimum=_iv_min, maximum=_iv_max, log=_iv_log,
 )
 
 
 def _corner_min(nb, A, B, C, x_min, x_max, y_min, y_max):
     """Minimum of a + b*x + c*y, with a, b, c the sums (left to right) of the
     product lists A, B, C, over the extreme points of each feasible cell
-    (y_min <= x_max) clipped to y <= x: four corners, of which the lower one
-    at each y-level is evaluated, and the vertex (x_min, x_min) where the
-    diagonal crosses the left edge.  Returns that minimum, the mask of cells
-    with the fifth vertex, and a bound on the rounding error of each minimum,
-    gamma_n times the sum of the absolute products (coordinates are
+    (y_min <= x_max) clipped to y <= x: the four corners, and the point
+    (max(x_min, y_v), y_v), y_v = min(max(x_min, y_min), y_hi), which is the
+    vertex (x_min, x_min) where the diagonal crosses the left edge, or one of
+    the corners where it misses the edge.  Returns that minimum, the mask of
+    cells with the fifth vertex, and a bound on the rounding error of each
+    minimum, gamma_n times the sum of the absolute products (coordinates are
     nonnegative)."""
     a, b, c = sum(A), sum(B), sum(C)
     err = (sum(map(abs, A)) + sum(map(abs, B)) * x_max + sum(map(abs, C)) * y_max) * _GAMMA
     y_hi = nb.minimum(y_max, x_max)
-    sl = nb.minimum(
-        nb.lower_corner(a, b, c, nb.maximum(x_min, y_min), x_max, y_min),
-        nb.lower_corner(a, b, c, nb.maximum(x_min, y_hi), x_max, y_hi),
-    )
-    extra = (y_min < x_min) & (x_min < y_hi)
-    return nb.vertex(sl, extra, a, b, c, x_min), extra, err
+    y_v = nb.minimum(nb.maximum(x_min, y_min), y_hi)
+
+    def level(y):  # the corners at height y, the left one clipped to the diagonal
+        return nb.minimum(_corner(a, b, c, nb.maximum(x_min, y), y), _corner(a, b, c, x_max, y))
+
+    sl = nb.minimum(nb.minimum(level(y_min), level(y_hi)),
+                    _corner(a, b, c, nb.maximum(x_min, y_v), y_v))
+    return sl, (y_min < x_min) & (x_min < y_hi), err
 
 
 def _shared_terms(nb, x_min, x_max, y_min, y_max, h_y, delta):
@@ -395,7 +384,7 @@ def _certify(lemma, params, weight, slack_fn, slack_args, intervals,
         raise ValueError(f"grid_n must be >= 1, got {grid_n}")
     for lo, hi in intervals:
         if not 0.0 < float(lo) < float(hi) < 1.0:
-            raise ValueError(f"x interval [{lo}, {hi}] must be inside (0, 1)")
+            raise ValueError(f"x interval [{lo}, {hi}] must satisfy 0 < lo < hi < 1")
         if float(hi) + delta - 1.0 > 0.0:
             raise ValueError("the lower constraint y >= x + delta - 1 would become active")
 
@@ -425,21 +414,21 @@ def _certify(lemma, params, weight, slack_fn, slack_args, intervals,
         corners += 4 * sl.size + int(np.count_nonzero(extra))
         return sl, err
 
-    corners, fail_count, error_bound = 0, 0, 0.0
+    corners, cells, fail_count, error_bound = 0, 0, 0, 0.0
     spots = [((2,),)] * count  # each interval's lowest leaf (rank, slack, cell); 2 ranks last
     # the earliest failing cells as (interval, i, j) keys, and their slacks
     room = _FAIL_CAP + max(4, count, _BLOCK_CELLS)
     fail_keys, fail_slacks, kept, cutoff = np.empty(room, np.int64), np.empty(room), 0, math.inf
-    index = np.int32 if 2 * count * (n + 1) < 2**31 else np.int64
-    roots = np.array([[k * (n + 1), k * (n + 1) + n, 0, n] for k in range(count)], index).T
+    roots = np.array([[k * (n + 1), k * (n + 1) + n, 0, n] for k in range(count)], np.int64).T
     with open(slack_csv, "w", newline="") if slack_csv else contextlib.nullcontext() as fh:
         writer = csv.writer(fh) if fh else None
         for R, sl, err, clear, leaf in _refine(kernel, roots, margin):
             a, b, j0, j1 = R
+            cells += int(np.sum((b - a) * (j1 - j0), where=leaf))
             failing = np.flatnonzero(leaf > clear)
             fail_count += failing.size
             if failing.size and int(a[failing].min()) * n < cutoff:
-                keys = a[failing].astype(np.int64) * n + j0[failing]
+                keys = a[failing] * n + j0[failing]
                 early = np.flatnonzero(keys < cutoff)
                 if kept + early.size > room:
                     first = np.argpartition(fail_keys[:kept], _FAIL_CAP - 1)[:_FAIL_CAP]
@@ -469,6 +458,8 @@ def _certify(lemma, params, weight, slack_fn, slack_args, intervals,
                                      j0[leaves], j1[leaves], map(repr, sl[leaves].tolist()),
                                      map(repr, err[leaves].tolist())))
 
+    if cells != count * n * n:
+        raise ArithmeticError(f"the leaves cover {cells} cells, not the grids' {count * n * n}")
     order = np.argsort(fail_keys[:kept])[:_FAIL_CAP]
     failing_cells = [(*divmod(key // n, n + 1), key % n, s)
                      for key, s in zip(fail_keys[order].tolist(), fail_slacks[order].tolist())]
@@ -476,7 +467,7 @@ def _certify(lemma, params, weight, slack_fn, slack_args, intervals,
     recheck = _recheck([(sl, cell, args) for (_, sl, cell), args in zip(spots, per_interval)],
                        slack_fn, margin) if confirm else None
     return CertReport(lemma, params, n, margin, low, (*divmod(a0, n + 1), j), corners,
-                      count * n * n, failing_cells, fail_count, error_bound,
+                      cells, failing_cells, fail_count, error_bound,
                       time.perf_counter() - t0, recheck)
 
 

@@ -106,7 +106,7 @@ def test_corner_minimum_dominates_feasible_polygon():
 def _corner_min_four(A, B, Cc, x_min, x_max, y_min, y_max):
     """The corner rule as the float64 scan first formed it: all four corners
     with nested minima, and the fifth vertex evaluated on every cell and
-    merged by np.where; the reference the sign-picked corners must match."""
+    merged by np.where; the reference the five-point rule must match."""
     a, b, c = sum(A), sum(B), sum(Cc)
     err = _GAMMA * (sum(map(abs, A)) + sum(map(abs, B)) * x_max + sum(map(abs, Cc)) * y_max)
     y_hi = np.minimum(y_max, x_max)
@@ -162,9 +162,10 @@ def _cell_block(draw, shape):
 @example([0.0, 0.0, 0.0], [-0.0, -0.0, -0.0], [0.0, 0.0, -0.0], None)
 @example([1.0, 0.0, 0.0], [0.0, -0.0, 0.0], [-1.0, 0.0, 0.0], None)
 def test_sign_picked_corners_match_the_four_corner_form(a, b, c, data):
-    # each product list is a column term, a row term and a scalar, so the
-    # in-place sums meet every broadcast and the sign of b can change from
-    # cell to cell; the same coefficients on scalar cells come last
+    # the four corners and the diagonal point, bit for bit against the
+    # reference; each product list is a column term, a row term and a
+    # scalar, so the in-place sums meet every broadcast and the sign of b can
+    # change from cell to cell; the same coefficients on scalar cells come last
     if data is None:
         cells = [(0.375, 0.5, np.array([[0.25, 0.375]]), np.array([[0.375, 0.5]]), 1.0, 1.0)]
     else:
@@ -567,6 +568,25 @@ def test_report_json_golden_hash(make, want):
     assert hashlib.sha256(text.encode()).hexdigest() == want
 
 
+# the benchmarked settings again: every leaf's rectangle, slack and rounding
+# bound, bit for bit, of 189 and 1 095 leaves
+@pytest.mark.parametrize(
+    "run, want",
+    [
+        pytest.param(certify_pair_inequality,
+                     "189033e7284a613f19322c3e07dbd247759b755fe8690c20ae3e88354c1b23ec",
+                     id="pair-2000-confirm"),
+        pytest.param(certify_expansion_inequality,
+                     "72557eb2ee8b963f7b58b99164b6247d70fac95fe18daecfb63c847365bd6052",
+                     id="expansion-2000-confirm"),
+    ],
+)
+def test_slack_csv_golden_hash(tmp_path, run, want):
+    path = tmp_path / "slacks.csv"
+    run(grid_n=2000, confirm=True, slack_csv=str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == want
+
+
 def _tiles(leaves, intervals, n):
     """Whether the leaves cover every grid cell of every interval once."""
     seen = np.zeros((intervals, n, n), dtype=int)
@@ -870,6 +890,18 @@ def test_true_inequality_holds_at_random_points_of_every_wide_leaf(tmp_path, lem
             y = rng.uniform(y_min, min(y_max, x))
             slack = _true_pair_slack(x, y) if lemma == "pair" else _true_expansion_slack(x, y, *args[2:])
             assert slack >= report.margin
+
+
+@pytest.mark.parametrize("run, grid", [(certify_pair_inequality, 200),
+                                       (certify_expansion_inequality, 100)])
+def test_a_refinement_that_drops_a_child_raises(monkeypatch, run, grid):
+    # cells_checked is the leaves' summed cells; a _halves that loses one
+    # child a round leaves cells uncertified, and hid the true minimum
+    # slack (pair 0.00161 read 0.01227 at grid 200), so the run must not pass
+    halves = certifier._halves
+    monkeypatch.setattr(certifier, "_halves", lambda R: halves(R)[:, 1:])
+    with pytest.raises(ArithmeticError, match="cover"):
+        run(grid_n=grid)
 
 
 def test_stock_grid_2000_certificates_evaluate_under_one_percent_of_the_corners():

@@ -107,6 +107,19 @@ def test_certify_rejects_bad_parameters(argv, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, interval",
+    [
+        (["certify-expansion", "--x-min", "0.25"], "[0.25, 0.2301]"),
+        (["certify-pair", "--x-min", "0.34"], "[0.34, 0.3322]"),
+    ],
+)
+def test_certify_reversed_x_interval_names_the_order(argv, interval, capsys):
+    # lo > hi inside (0, 1) breaks the order, not the range
+    assert main(argv + ["--grid", "10"]) == 2
+    assert f"x interval {interval} must satisfy 0 < lo < hi < 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "argv, files",
     [
         (["check-conditions", "--delta", "1/0"], {}),
