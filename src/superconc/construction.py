@@ -69,8 +69,8 @@ class BuildConfig(namedtuple(
     acceptance checks: exact expansion for subset sizes 1..check_k_max and
     pair expansion up to min(check_k_max, c3*n).  A size k with C(n, k)
     above ``check_budget`` ends a check, and the level record says so with
-    ``complete: false, truncated_at: k``; a budget below C(n, 1) = n raises
-    EnumerationBudgetError, since no size would be checked.
+    ``complete: false, truncated_at: k``.  A check over no size (a budget
+    below n, a check_k_max outside 1..n, or c3*n < 1) raises, not passes.
     """
 
     __slots__ = ()
@@ -309,8 +309,6 @@ def build_gamma(n: int, cfg: BuildConfig | None = None) -> SuperDag:
     """
     cfg = cfg if cfg is not None else BuildConfig()
     _validate_size(n, cfg.base_size)
-    if cfg.check_k_max < 1:
-        raise ValueError(f"check_k_max must be >= 1, got {cfg.check_k_max}")
     if cfg.retry_limit < 1:
         raise ValueError(f"retry_limit must be >= 1, got {cfg.retry_limit}")
     dag = SuperDag()

@@ -303,6 +303,8 @@ def empirical_expansion_failure(
     than m neighbors.  Returns (frequency, failures, samples)."""
     from .randgraph import min_expansion, sample_g
 
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     failures = 0
     for s in range(samples):
         g = sample_g(N, d, delta, derive_seed("emp-exp", seed, s))

@@ -102,8 +102,10 @@ class PiecewiseLinear(namedtuple("PiecewiseLinear", "breakpoints")):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            xs, ys = line.split()
-            pts.append((as_fraction(xs), as_fraction(ys)))
+            fields = line.split()
+            if len(fields) != 2:
+                raise ValueError(f"profile line {line!r} is not one 'x y' pair")
+            pts.append((as_fraction(fields[0]), as_fraction(fields[1])))
         return cls(tuple(pts))
 
 

@@ -118,6 +118,13 @@ class BipartiteGraph:
         self.masks = tuple(masks)
         self.provenance = provenance
 
+    @classmethod
+    def _of(cls, n: int, masks: tuple, provenance) -> "BipartiteGraph":
+        """A graph from row bitmasks the caller has already built in range."""
+        g = cls.__new__(cls)
+        g.n, g.masks, g.provenance = n, masks, provenance
+        return g
+
     @property
     def adjacency(self) -> tuple:
         """Sorted neighbor labels per left vertex, 1-based."""
@@ -166,11 +173,7 @@ def sample_g(n: int, d: int, delta, seed: int, *, disjoint: bool = False) -> Bip
     exhaust the redraw cap, raise ValueError.  A plain draw stops once every
     row is full, which no later permutation can change.
     """
-    g = BipartiteGraph.__new__(BipartiteGraph)
-    g.n = n
-    g.masks = _overlay(n, d, delta, seed, disjoint)
-    g.provenance = (seed, d, as_fraction(delta))
-    return g
+    return BipartiteGraph._of(n, _overlay(n, d, delta, seed, disjoint), (seed, d, as_fraction(delta)))
 
 
 def _overlay(n: int, d: int, delta, seed: int, disjoint: bool, within=None) -> tuple | None:
@@ -215,12 +218,7 @@ def _overlay(n: int, d: int, delta, seed: int, disjoint: bool, within=None) -> t
 
 def complete_bipartite(n: int) -> BipartiteGraph:
     """Every left vertex adjacent to every right vertex."""
-    full = (1 << n) - 1
-    g = BipartiteGraph.__new__(BipartiteGraph)
-    g.n = n
-    g.masks = (full,) * n
-    g.provenance = EXPLICIT
-    return g
+    return BipartiteGraph._of(n, ((1 << n) - 1,) * n, EXPLICIT)
 
 
 def _subset_mask(g: BipartiteGraph, S: Iterable[int]) -> int:
@@ -252,13 +250,13 @@ def _min_subset_score(masks: tuple, k: int, budget: int):
     """Exact minimum of the popcount of the union of k masks, with the
     lexicographically smallest witness (1-based positions).
 
-    Raises ValueError for k outside 1..n and EnumerationBudgetError when
-    C(n, k) exceeds the budget.  Popcount is nondecreasing under union,
-    which lets partial unions prune.
+    Raises ValueError for k outside 0..n and EnumerationBudgetError when
+    C(n, k) exceeds the budget; k = 0 gives the empty set's (0, ()).
+    Popcount is nondecreasing under union, which lets partial unions prune.
     """
     n = len(masks)
-    if not 1 <= k <= n:
-        raise ValueError(f"k={k} outside 1..{n}")
+    if not 0 <= k <= n:
+        raise ValueError(f"k={k} outside 0..{n}")
     count = math.comb(n, k)
     if count > budget:
         raise EnumerationBudgetError(f"scanning all C({n},{k}) size-{k} subsets", count, budget)
@@ -306,8 +304,7 @@ def min_expansion(g: BipartiteGraph, k: int, budget: int = DEFAULT_BUDGET):
 
 def min_pair_expansion(g: BipartiteGraph, k: int, budget: int = DEFAULT_BUDGET):
     """Exact minimum of pair_count over all left subsets of size k."""
-    masks = _pair_masks(g)
-    return (0, ()) if k == 0 else _min_subset_score(masks, k, budget)
+    return _min_subset_score(_pair_masks(g), k, budget)
 
 
 def sampled_min_expansion(g: BipartiteGraph, k: int, trials: int, seed: int):
@@ -430,25 +427,29 @@ class SubsetCheckReport(namedtuple("SubsetCheckReport", "kind truncated_at entri
         }
 
 
-def _sweep(kind: str, masks: tuple, rows: Iterable, budget: int) -> SubsetCheckReport:
+def _sweep(kind: str, masks: tuple, top: int, required, budget: int) -> SubsetCheckReport:
     """Check the exact minimum union popcount over size-k subsets of masks
-    against ``required`` for each (k, required) row in turn.
+    against ``required(k)`` for k = 1..top in turn.
 
     The sweep stops at the first failure, keeping its witness, or at the
     first size whose C(n, k) exceeds the budget, which it records as
-    ``truncated_at``.  A budget that stops it before its first size raises
-    EnumerationBudgetError: a report over no size would pass vacuously.
+    ``truncated_at``.  A report over no size would pass vacuously: a top
+    outside 1..n raises ValueError before any scan, and a budget that stops
+    the sweep before its first size raises EnumerationBudgetError.
     """
+    if not 1 <= top <= len(masks):
+        raise ValueError(f"{kind} check: top size {top} outside 1..{len(masks)}")
     entries = []
-    for k, required in rows:
+    for k in range(1, top + 1):
+        need = required(k)
         try:
             achieved, witness = _min_subset_score(masks, k, budget)
         except EnumerationBudgetError:
             if not entries:
                 raise
             return SubsetCheckReport(kind, k, tuple(entries))
-        failed = achieved < required
-        entries.append(SubsetCheckEntry(k, required, achieved, witness if failed else ()))
+        failed = achieved < need
+        entries.append(SubsetCheckEntry(k, need, achieved, witness if failed else ()))
         if failed:
             break
     return SubsetCheckReport(kind, None, tuple(entries))
@@ -462,21 +463,22 @@ def check_expander_profile(
     Subset sizes k realize the fractions alpha = k/n; the requirement is
     evaluated exactly when the profile is rational.  A budget hit produces a
     partial report flagged via ``complete=False``, or EnumerationBudgetError
-    when it comes at the first size.
+    when it comes at the first size; a k_max outside 1..n raises ValueError.
     """
-    rows = ((k, math.ceil(profile.eval(Fraction(k, g.n)) * g.n)) for k in range(1, k_max + 1))
-    return _sweep("expansion", g.masks, rows, budget)
+    return _sweep(
+        "expansion", g.masks, k_max, lambda k: math.ceil(profile.eval(Fraction(k, g.n)) * g.n), budget
+    )
 
 
 def check_pair_profile(
     g: BipartiteGraph, gamma, alpha_max, budget: int = DEFAULT_BUDGET
 ) -> SubsetCheckReport:
     """Check min_pair_expansion(g, k) >= floor(gamma * k) for every
-    k = floor(alpha * n) with alpha <= alpha_max, i.e. k = 1..floor(alpha_max*n)."""
+    k = floor(alpha * n) with alpha <= alpha_max, i.e. k = 1..floor(alpha_max*n);
+    an alpha_max below 1/n leaves no size and raises ValueError."""
     gamma = as_fraction(gamma)
-    k_top = math.floor(as_fraction(alpha_max) * g.n)
-    rows = ((k, math.floor(gamma * k)) for k in range(1, k_top + 1))
-    return _sweep("pair", _pair_masks(g), rows, budget)
+    top = math.floor(as_fraction(alpha_max) * g.n)
+    return _sweep("pair", _pair_masks(g), top, lambda k: math.floor(gamma * k), budget)
 
 
 def graph_to_text(g: BipartiteGraph) -> str:
@@ -495,17 +497,15 @@ def graph_to_text(g: BipartiteGraph) -> str:
 
 
 def graph_from_text(text: str) -> BipartiteGraph:
-    lines = [ln for ln in text.splitlines() if ln.strip() or ln == ""]
+    lines = text.splitlines()
     if not lines or not lines[0].strip():
         raise ValueError("graph file has no header line")
     head = lines[0].split()
     if len(head) != 4:
         raise ValueError(f"malformed header: {lines[0]!r}")
     n = int(head[0])
-    if head[1] == "-":
-        provenance = EXPLICIT
-    else:
-        provenance = (int(head[3]), int(head[1]), as_fraction(head[2]))
+    explicit = head[1:] == ["-"] * 3
+    provenance = EXPLICIT if explicit else (int(head[3]), int(head[1]), as_fraction(head[2]))
     rows = [[int(t) for t in ln.split()] for ln in lines[1 : n + 1]]
     if any(ln.strip() for ln in lines[n + 1 :]):
         raise ValueError(f"unexpected text after the {n} adjacency rows")

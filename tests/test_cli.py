@@ -178,7 +178,7 @@ def test_check_expansion_on_explicit_graph(tmp_path, capsys):
     assert "PASS" in capsys.readouterr().out
     # the n of a graph file bounds --k-max, as --n does for a sampled graph
     assert main(["check-expansion", "--graph", str(path), "--k-max", "11"]) == 2
-    assert "--k-max must be <= the graph's n = 10, got 11" in capsys.readouterr().err
+    assert "expansion check: top size 11 outside 1..10" in capsys.readouterr().err
 
 
 def test_check_expansion_flags_a_truncated_pair_sweep(tmp_path, capsys):
@@ -305,8 +305,8 @@ def test_verify_exhaustive_budget_refusal(tmp_path, capsys):
     [
         (["verify-sc", "--trials", "0"], "trials must be >= 1, got 0"),
         (["verify-sc", "--trials", "-3"], "trials must be >= 1, got -3"),
-        (["check-expansion", "--k-max", "0"], "--k-max must be >= 1, got 0"),
-        (["build-sc", "--n", "40", "--check-k-max", "0"], "check_k_max must be >= 1, got 0"),
+        (["check-expansion", "--k-max", "0"], "expansion check: top size 0 outside 1..20"),
+        (["build-sc", "--n", "40", "--check-k-max", "0"], "expansion check: top size 0 outside 1..40"),
         # the threshold 2 ln(n)/n is 0 at n = 1, so no gap could pass
         (["stirling-scan", "--n", "1"], "--n must be >= 2, got 1"),
         (["stirling-scan", "--n", "128", "0"], "--n must be >= 2, got 0"),
@@ -314,8 +314,15 @@ def test_verify_exhaustive_budget_refusal(tmp_path, capsys):
         # a budget below C(n, 1) = n stops each sweep before its first size
         (["check-expansion", "--n", "20", "--budget", "19"], "C(20,1) size-1 subsets needs 20"),
         (["build-sc", "--n", "40", "--budget", "0"], "C(40,1) size-1 subsets needs 40"),
-        # the profile is read at k/n, so a k above n was an out-of-domain error
-        (["check-expansion", "--n", "2", "--k-max", "3"], "--k-max must be <= the graph's n = 2, got 3"),
+        # refused before the profile is read at k/n > 1, outside its domain
+        (["check-expansion", "--n", "2", "--k-max", "3"], "expansion check: top size 3 outside 1..2"),
+        # floor(0.01 * 20) = 0 leaves the pair check no size
+        (["check-expansion", "--pairs", "--alpha-max", "0.01"], "pair check: top size 0 outside 1..20"),
+        # the n = 2 level's pair check would cover k <= floor(c3 * 2) = 0
+        (
+            ["build-sc", "--n", "4", "--base", "1", "--expander", "complete"],
+            "pair check: top size 0 outside 1..2",
+        ),
     ],
 )
 def test_vacuous_check_counts_exit_two(tmp_path, capsys, argv, message):

@@ -117,7 +117,7 @@ CASES = {
     ),
     "check-expansion-usage": (
         ["check-expansion --k-max 0".split()],
-        2, "700c919d0520f758bf91189f47c90a53784198fba3fe067d3e735cf06b10b41e",
+        2, "999ffaec0759c0858a7bea420ee011f5438a047ee440415813397690f29d1674",
     ),
     "build-sc-json": (
         ["build-sc --n 40 --seed 3 --print-json".split()],

@@ -93,6 +93,28 @@ def test_graph_text_under_any_header_degree_loads_or_raises_value_error(text, d)
     _loads_or_value_error(graph_from_text, f"{n} {d} {delta} {seed}\n{rows}")
 
 
+@st.composite
+def padded_graph_text(draw):
+    """An explicit graph's text and its rows: each row's labels in any order
+    between runs of blanks, so an empty row is a line of blanks or none."""
+    n = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.sets(st.integers(1, n)), min_size=n, max_size=n))
+    lines = [f"{n} - - -"]
+    for row in rows:
+        labels = [str(j) for j in draw(st.permutations(sorted(row)))] + [""]
+        gaps = [draw(st.text(" \t", min_size=int(0 < i < len(labels) - 1), max_size=3))
+                for i in range(len(labels))]
+        lines.append("".join(gap + label for gap, label in zip(gaps, labels)))
+    return "\n".join(lines) + "\n", rows
+
+
+@FUZZ
+@given(case=padded_graph_text())
+def test_graph_text_rows_load_as_written(case):
+    text, rows = case
+    assert [set(row) for row in graph_from_text(text).adjacency] == rows
+
+
 @FUZZ
 @given(text=mutated_text([PROFILE_TEXT]))
 def test_mutated_profile_text_loads_or_raises_value_error(text):

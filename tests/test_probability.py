@@ -433,6 +433,12 @@ def test_empirical_expansion_failure_sane():
     assert freq == failures / samples
 
 
+@pytest.mark.parametrize("samples", [0, -1])
+def test_empirical_expansion_failure_refuses_no_samples(samples):
+    with pytest.raises(ValueError, match=f"samples must be >= 1, got {samples}"):
+        empirical_expansion_failure(10, 3, 0, 3, 4, samples, 3)
+
+
 # --- CSV -------------------------------------------------------------------------
 
 

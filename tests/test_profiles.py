@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -40,6 +41,12 @@ def test_as_fraction_refuses_what_no_rational_is(value):
 def test_profile_text_refuses_a_zero_denominator():
     with pytest.raises(ValueError, match="'1/0' is not a finite rational"):
         PiecewiseLinear.from_text("0 0\n1/0 1\n1 1\n")
+
+
+@pytest.mark.parametrize("line", ["0 0 0", "1/2"])
+def test_profile_text_names_a_line_that_is_not_one_pair(line):
+    with pytest.raises(ValueError, match=re.escape(f"profile line '{line}' is not one 'x y' pair")):
+        PiecewiseLinear.from_text(f"0 0\n{line}\n1 1\n")
 
 
 def test_derived_constants():

@@ -292,6 +292,27 @@ def test_min_pair_expansion_examples():
     assert min_pair_expansion(sample_g(12, 2, 0, 1), 4)[0] == 3
 
 
+def test_min_expansion_of_the_empty_set():
+    # both kernels share one size range, 0..n
+    g = sample_g(12, 2, 0, 1)
+    assert min_expansion(g, 0) == (0, ()) == min_pair_expansion(g, 0)
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda g: check_expander_profile(g, PROFILE, 0),
+        # the budget would cut the sweep at k = 3, long before k = n + 1
+        lambda g: check_expander_profile(g, PROFILE, g.n + 1, budget=2000),
+        lambda g: check_pair_profile(g, 1, Fraction(1, g.n + 1)),
+    ],
+    ids=["k_max-0", "k_max-above-n", "alpha_max-below-1/n"],
+)
+def test_a_check_over_no_valid_size_raises(check):
+    with pytest.raises(ValueError, match="check: top size"):
+        check(sample_g(24, 4, 0, 5, disjoint=True))
+
+
 def test_check_expander_profile_complete_graph_passes():
     rep = check_expander_profile(complete_bipartite(10), PROFILE, 10)
     assert rep.passed and rep.complete and rep.first_failure is None
@@ -512,6 +533,17 @@ def test_text_rejects_trailing_text_and_false_provenance():
     assert header == "10 3 3/10 21"
     with pytest.raises(ValueError, match="rows differ"):
         graph_from_text("10 3 3/10 22\n" + rows)
+
+
+def test_text_reads_a_whitespace_only_line_as_an_empty_row():
+    assert graph_from_text("3 - - -\n1\n  \n2\n").adjacency == ((1,), (), (2,))
+    with pytest.raises(ValueError, match="unexpected text after the 3 adjacency rows"):
+        graph_from_text("3 - - -\n1\n  \n2\n3\n")
+
+
+def test_text_header_is_explicit_only_when_its_three_fields_are_dashes():
+    with pytest.raises(ValueError):
+        graph_from_text("3 - 1/4 7\n1\n2\n3\n")
 
 
 def test_subset_check_records_keep_their_reprs_fields_and_immutability():
